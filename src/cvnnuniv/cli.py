@@ -3,7 +3,7 @@
 Every run is reproducible: all randomness flows from one seed (flag, config
 file, or the CVNN_SEED environment variable, in that order of precedence),
 and reports embed the full configuration echo plus the library version.
-Exit codes: 0 success, 1 verdict failure (e.g. synthesis refused), 2 usage.
+Exit codes: 0 success, 1 verdict failure (e.g. synthesis refused), 2 usage or unwritable output.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .classifier import ClassifierConfig, classify
 from .constructor import ConstructorConfig, lift_dimension, synthesize_deep, synthesize_shallow
 from .errors import CvnnError, SynthesisRefusedError
 from .grids import make_grid
-from .network import network_to_json_dict
+from .network import save_network
 from .targets import resolve_target, target_names
 from .verify import check_network_invariant, error_floor_experiment
 
@@ -182,18 +182,15 @@ def _cmd_approximate(args):
         net, cert = lift_dimension(
             sigma, target, (0.0, radius), args.dims, config, target_name=args.target, gate=gate
         )
-        net = None if args.network_out is None else net.to_network()
     else:
-        shallow, cert = synthesize_shallow(
+        net, cert = synthesize_shallow(
             sigma, target, (0.0, radius), args.degree, config, target_name=args.target, gate=gate
         )
-        net = shallow.to_network() if args.network_out else None
     doc = cert.to_json_dict()
     doc["cli"] = _cli_echo(args)
     _emit(doc, args)
-    if args.network_out and net is not None:
-        with open(args.network_out, "w") as fh:
-            json.dump(network_to_json_dict(net), fh)
+    if args.network_out:
+        save_network(net if args.deep else net.to_network(), args.network_out)
     return 0
 
 
@@ -244,6 +241,9 @@ def run_cli(argv):
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
     except KeyError as exc:
         # unknown activation/target name: list what exists

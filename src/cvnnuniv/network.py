@@ -293,8 +293,15 @@ def restrict_line(t, a, b):
     return NetworkWeights((new0,) + t.layers[1:])
 
 
-def _pair(x):
-    return [float(x.real), float(x.imag)]
+def _pairs(x):
+    return np.ascontiguousarray(x).view(np.float64).reshape(*x.shape, 2).tolist()
+
+
+def _complex_array(pairs, ndim):
+    arr = np.asarray(pairs)
+    if arr.ndim != ndim + 1 or arr.shape[-1] != 2 or arr.dtype.kind not in "iuf":
+        raise ValueError(f"expected depth-{ndim} lists of [re, im] numbers, got shape {arr.shape} of {arr.dtype}")
+    return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
 
 
 def network_to_json_dict(theta):
@@ -303,33 +310,26 @@ def network_to_json_dict(theta):
         "format": FORMAT_TAG,
         "d": theta.input_dim,
         "L": theta.hidden_layers,
-        "layers": [
-            {
-                "A": [[_pair(v) for v in row] for row in a],
-                "b": [_pair(v) for v in b],
-            }
-            for a, b in theta.layers
-        ],
+        "layers": [{"A": _pairs(a), "b": _pairs(b)} for a, b in theta.layers],
     }
 
 
 def network_from_json_dict(doc):
-    if doc.get("format") != FORMAT_TAG:
-        raise ValueError(f"unsupported network format {doc.get('format')!r}")
-    layers = []
-    for layer in doc["layers"]:
-        a = np.array([[complex(re, im) for re, im in row] for row in layer["A"]], dtype=complex)
-        b = np.array([complex(re, im) for re, im in layer["b"]], dtype=complex)
-        layers.append((a.reshape(len(layer["A"]), -1), b))
-    theta = NetworkWeights(tuple(layers))
-    if theta.input_dim != doc["d"] or theta.hidden_layers != doc["L"]:
-        raise ValueError("declared dimensions disagree with the layer shapes")
+    try:
+        if doc["format"] != FORMAT_TAG:
+            raise ValueError(f"unsupported network format {doc['format']!r}")
+        theta = NetworkWeights(tuple((_complex_array(ly["A"], 2), _complex_array(ly["b"], 1)) for ly in doc["layers"]))
+        if (theta.input_dim, theta.hidden_layers) != (doc["d"], doc["L"]):
+            raise ValueError("declared dimensions disagree with the layer shapes")
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed network document: {exc!r}") from None
     return theta
 
 
 def save_network(theta, path):
+    """Write ``theta`` with one ``json.dumps``, the C encoder; ``json.dump`` runs pure Python."""
     with open(path, "w") as fh:
-        json.dump(network_to_json_dict(theta), fh)
+        fh.write(json.dumps(network_to_json_dict(theta)))
 
 
 def load_network(path):

@@ -1,6 +1,12 @@
 import json
 
+import numpy as np
+
+from cvnnuniv.activations import by_name
 from cvnnuniv.cli import run_cli
+from cvnnuniv.constructor import ConstructorConfig, synthesize_shallow
+from cvnnuniv.network import load_network
+from cvnnuniv.targets import resolve_target
 
 
 def test_unknown_activation_exits_2(capsys):
@@ -149,25 +155,40 @@ def test_dims_routes_to_lifting(tmp_path):
 
 
 def test_network_out(tmp_path):
-    cert = tmp_path / "cert.json"
-    net = tmp_path / "net.json"
-    code = run_cli(
-        [
-            "approximate",
-            "--activation",
-            "abs2",
-            "--target",
-            "abs2_target",
-            "--degree",
-            "2",
-            "--override",
-            "--out",
-            str(cert),
-            "--network-out",
-            str(net),
-        ]
-    )
-    assert code == 0
-    doc = json.loads(net.read_text())
+    nets = []
+    for run in range(2):
+        cert = tmp_path / f"cert{run}.json"
+        nets.append(tmp_path / f"net{run}.json")
+        argv = ["approximate", "--activation", "abs2", "--target", "abs2_target", "--degree", "2", "--override"]
+        code = run_cli(argv + ["--seed", "4", "--out", str(cert), "--network-out", str(nets[-1])])
+        assert code == 0
+    doc = json.loads(nets[0].read_text())
     assert doc["format"] == "cvnn-network/1"
     assert doc["L"] == 1
+    assert nets[0].read_bytes() == nets[1].read_bytes()
+    shallow, _ = synthesize_shallow(
+        by_name("abs2"),
+        resolve_target("abs2_target"),
+        (0.0, 1.0),
+        2,
+        ConstructorConfig(seed=4, override_verdict=True),
+        target_name="abs2_target",
+        gate=False,
+    )
+    want = shallow.to_network()
+    got = load_network(nets[0])
+    assert len(got.layers) == len(want.layers)
+    for (a1, b1), (a2, b2) in zip(want.layers, got.layers):
+        assert np.array_equal(a1.view(np.uint64), a2.view(np.uint64))
+        assert np.array_equal(b1.view(np.uint64), b2.view(np.uint64))
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.json"
+    floor = ["floor", "--activation", "ratio", "--target", "cone", "--widths", "10"]
+    assert run_cli(floor + ["--out", str(missing)]) == 2
+    assert "cannot write" in capsys.readouterr().err
+    approx = ["approximate", "--activation", "abs2", "--target", "abs2_target", "--degree", "2", "--override"]
+    assert run_cli(approx + ["--out", str(tmp_path / "cert.json"), "--network-out", str(missing)]) == 2
+    assert "cannot write" in capsys.readouterr().err
+    assert not missing.parent.exists()

@@ -15,9 +15,11 @@ from cvnnuniv.network import (
     eval_shallow,
     lift_affine,
     linear_combine,
+    load_network,
     network_from_json_dict,
     network_to_json_dict,
     restrict_line,
+    save_network,
 )
 
 RATIO = by_name("ratio")
@@ -208,14 +210,57 @@ def test_singularity_error():
         eval_network(net, tanh, 1j * np.pi / 2)
 
 
-def test_serialization_round_trip_bit_exact():
+def test_serialization_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(11)
-    t = random_net(rng, d=2, hidden=(3, 2), scale=1.7)
-    doc = json.loads(json.dumps(network_to_json_dict(t)))
-    back = network_from_json_dict(doc)
-    for (a1, b1), (a2, b2) in zip(t.layers, back.layers):
-        assert np.array_equal(a1, a2)
-        assert np.array_equal(b1, b2)
+    layers = [(a.copy(), b.copy()) for a, b in random_net(rng, d=2, hidden=(3, 2), scale=1.7).layers]
+    specials = [-0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1.7976931348623157e308]
+    layers[0][0].flat[:3] = [complex(*specials[0:2]), complex(*specials[2:4]), complex(*specials[4:6])]
+    layers[1][1][0] = complex(specials[5], specials[0])
+    t = NetworkWeights(tuple(layers))
+    # the writer's output must stay the bytes of the per-entry float() format it replaced
+    reference = {
+        "format": "cvnn-network/1",
+        "d": 2,
+        "L": 2,
+        "layers": [
+            {
+                "A": [[[float(v.real), float(v.imag)] for v in row] for row in a],
+                "b": [[float(v.real), float(v.imag)] for v in b],
+            }
+            for a, b in t.layers
+        ],
+    }
+    path = tmp_path / "net.json"
+    save_network(t, path)
+    assert path.read_bytes() == json.dumps(reference).encode()
+    for back in (load_network(path), network_from_json_dict(json.loads(json.dumps(network_to_json_dict(t))))):
+        for (a1, b1), (a2, b2) in zip(t.layers, back.layers):
+            assert np.array_equal(a1.view(np.uint64), a2.view(np.uint64))
+            assert np.array_equal(b1.view(np.uint64), b2.view(np.uint64))
+        assert np.signbit(back.layers[0][0][0, 0].real) and np.signbit(back.layers[1][1][0].imag)
+
+
+def _malformed(edit):
+    doc = network_to_json_dict(random_net(np.random.default_rng(3), d=2))
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _malformed(lambda doc: doc["layers"][0]["A"][0].__setitem__(0, [1.0])),
+        _malformed(lambda doc: doc["layers"][0]["A"][1].pop()),
+        _malformed(lambda doc: doc.__setitem__("format", "cvnn-network/2")),
+        _malformed(lambda doc: doc["layers"][1]["b"].__setitem__(0, [None, 1.0])),
+        _malformed(lambda doc: doc["layers"][1].pop("b")),
+        _malformed(lambda doc: doc.__setitem__("d", 3)),
+    ],
+    ids=["non-pair", "ragged", "tag", "null", "missing-key", "declared-d"],
+)
+def test_malformed_network_document_raises_value_error(doc):
+    with pytest.raises(ValueError):
+        network_from_json_dict(doc)
 
 
 def test_concat_shallow():
