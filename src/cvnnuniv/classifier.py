@@ -161,20 +161,21 @@ def detect_holomorphy(sigma, grid, tol, mollifier=None):
     return "neither"
 
 
-def _monomial_design(pts, degree):
-    cols = []
-    powers = []
-    for total in range(degree + 1):
-        for m in range(total + 1):
-            ell = total - m
-            cols.append(pts**m * np.conj(pts) ** ell)
-            powers.append((m, ell))
-    return np.stack(cols, axis=1), powers
+def monomial_design(u, degree, total_degree=True):
+    """Columns u^m conj(u)^l with m + l <= degree, or the box m, l <= degree.
+
+    Returns (design, powers); column k is the monomial ``powers[k] = (m, l)``.
+    """
+    if total_degree:
+        powers = [(m, total - m) for total in range(degree + 1) for m in range(total + 1)]
+    else:
+        powers = [(m, ell) for m in range(degree + 1) for ell in range(degree + 1)]
+    return np.stack([u**m * np.conj(u) ** ell for m, ell in powers], axis=1), powers
 
 
 def _poly_fit_residual(fvals, pts, degree, radius):
     u = pts / radius
-    design, _ = _monomial_design(u, degree)
+    design, _ = monomial_design(u, degree)
     coef, *_ = np.linalg.lstsq(design, fvals, rcond=None)
     resid = fvals - design @ coef
     return float(np.max(np.abs(resid)))

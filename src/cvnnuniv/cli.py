@@ -134,6 +134,15 @@ def _emit(doc, args, csv_text=None):
         sys.stdout.write(payload)
 
 
+def _check_writable(path):
+    """Raise ``OSError`` now if ``path`` cannot be written; leaves no new file behind."""
+    existed = os.path.exists(path)
+    with open(path, "a"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def _cli_echo(args):
     skip = {"command", "config", "out"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
@@ -238,6 +247,10 @@ def run_cli(argv):
         return 2 if exc.code not in (0, None) else 0
     try:
         args = _apply_config_file(args)
+        # an unwritable output fails before any work, and so before any other output is written
+        for path in (args.out, getattr(args, "network_out", None)):
+            if path:
+                _check_writable(path)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

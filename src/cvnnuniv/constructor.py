@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .classifier import YES, ClassifierConfig, classify
+from .classifier import YES, ClassifierConfig, classify, monomial_design
 from .errors import (
     IllConditionedBasisError,
     InactiveExpansionPointError,
@@ -38,7 +38,7 @@ from .network import (
     lift_affine,
     linear_combine_many,
 )
-from .wirtinger import fd_weights, make_mollifier, mollify, stencil_halfwidth
+from .wirtinger import fd_weights, make_mollifier, mollify, stencil_halfwidth, wirtinger_terms
 
 JET_LIMIT = 7
 # mollifier used when extraction must cross a non-smooth set
@@ -54,7 +54,6 @@ class MonomialRequest:
     ell: int
     theta: complex
     fd_step: float = 0.01
-    stencil_radius: int | None = None
 
     def __post_init__(self):
         if self.m < 0 or self.ell < 0:
@@ -65,6 +64,14 @@ class MonomialRequest:
 
 @dataclasses.dataclass(frozen=True)
 class ConstructorConfig:
+    """Numerical policy for the synthesis routines; echoed into every certificate.
+
+    ``fd_step`` is the divided-difference step in the dilation parameter for
+    monomials of total order up to 4, ``fd_step_high`` the step for orders 5
+    to 7 (see :meth:`fd_step_for`).  Both the active-point search and the
+    monomial extraction read them, so the two always use the same stencil.
+    """
+
     seed: int = 0
     fit_points_per_axis: int = 32
     test_points_per_axis: int = 65
@@ -81,6 +88,10 @@ class ConstructorConfig:
     deep_relu_eps: float = 0.15
     deep_ridge_width: int = 16
     override_verdict: bool = False
+
+    def fd_step_for(self, total_order):
+        """Divided-difference step for a monomial of total order ``total_order``."""
+        return self.fd_step if total_order <= 4 else self.fd_step_high
 
     def echo(self):
         return dataclasses.asdict(self)
@@ -124,29 +135,23 @@ def _domain_dict(center, radius, d):
     }
 
 
-def _w_stencil(m, ell, fd_step, halfwidth=None):
+def _w_stencil(m, ell, fd_step):
     """2-D divided-difference weights in the dilation parameter w."""
     K = m + ell
-    n = halfwidth if halfwidth is not None else stencil_halfwidth(K)
+    n = stencil_halfwidth(K)
     offs = np.arange(-n, n + 1)
     wx = [fd_weights(a, offs * fd_step) for a in range(K + 1)]
     coeffs = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
-    pref = 2.0 ** (-(m + ell))
-    for j in range(m + 1):
-        for k in range(ell + 1):
-            a = j + k
-            b = (m - j) + (ell - k)
-            lam = pref * math.comb(m, j) * math.comb(ell, k) * (-1j) ** (m - j) * (1j) ** (ell - k)
-            coeffs += lam * np.outer(wx[a], wx[b])
+    # one outer product per expansion term, in expansion order: grouping equal (a, b) first rounds differently
+    for a, b, lam in wirtinger_terms(m, ell):
+        coeffs += lam * np.outer(wx[a], wx[b])
     nodes = fd_step * (offs[:, None] + 1j * offs[None, :])
     return nodes.ravel(), coeffs.ravel()
 
 
-def _clears_nonsmooth(sigma, theta, reach):
-    cuts = tuple(sigma.nonsmooth_set) + tuple(sigma.discontinuity_set) + tuple(sigma.singular_points)
-    if not cuts:
-        return True
-    return float(cut_distance(theta, cuts)) > reach
+def _cuts(sigma):
+    """Where sigma is not smooth: stencils on the raw activation keep clear of it."""
+    return tuple(sigma.nonsmooth_set) + tuple(sigma.discontinuity_set) + tuple(sigma.singular_points)
 
 
 def extract_monomial(sigma, req):
@@ -160,18 +165,14 @@ def extract_monomial(sigma, req):
     expanded into the corresponding sum of translates of sigma.
     """
     m, ell, theta = req.m, req.ell, complex(req.theta)
-    K = m + ell
-    h = req.fd_step if K <= 4 else max(req.fd_step, 0.015)
-    nodes, coeffs = _w_stencil(m, ell, h, req.stencil_radius)
+    nodes, coeffs = _w_stencil(m, ell, req.fd_step)
     reach = float(np.max(np.abs(nodes))) * 1.1
-    use_raw = sigma.smooth or _clears_nonsmooth(sigma, theta, reach + 0.02)
+    use_raw = sigma.smooth or float(cut_distance(theta, _cuts(sigma))) > reach + 0.02
     if use_raw:
         samples = sigma(nodes + theta)
     else:
         moll = make_mollifier(SYNTH_MOLLIFIER_EPS, SYNTH_MOLLIFIER_Q)
-        f = mollify(sigma, moll)
-        samples = f(nodes + theta)
-        reach += moll.epsilon
+        samples = mollify(sigma, moll)(nodes + theta)
     rho = complex(np.sum(coeffs * samples))
     scale = max(1.0, float(np.max(np.abs(samples))))
     noise_floor = float(np.sum(np.abs(coeffs))) * 2.3e-16 * scale
@@ -189,19 +190,19 @@ def extract_monomial(sigma, req):
     return ShallowNetwork(c=0.0, terms=tuple(terms), input_dim=1)
 
 
-def find_active_point(sigma, m, ell, search_grid):
+def find_active_point(sigma, m, ell, search_grid, fd_step):
     """Point of the grid maximizing |(d^m dbar^l sigma)(theta)|.
 
-    Prefers points whose stencil footprint stays clear of the non-smooth set
-    (raw evaluation there); falls back to the mollified activation on the
-    whole grid when no raw point is active.  Raises ``NoActivePointError``
-    when every magnitude sits below threshold, which signals that sigma
-    cannot produce this monomial.
+    The derivative is the dilation stencil of step ``fd_step``, the stencil
+    :func:`extract_monomial` uses at the same step.  Prefers points whose
+    stencil footprint stays clear of the non-smooth set (raw evaluation
+    there); falls back to the mollified activation on the whole grid when no
+    raw point is active.  Raises ``NoActivePointError`` when every magnitude
+    sits below threshold, which signals that sigma cannot produce this
+    monomial.
     """
     pts = search_grid.scalars if isinstance(search_grid, Grid) else np.asarray(search_grid, complex).ravel()
-    K = m + ell
-    h = 0.01 if K <= 4 else 0.015
-    nodes, coeffs = _w_stencil(m, ell, h)
+    nodes, coeffs = _w_stencil(m, ell, fd_step)
     reach = float(np.max(np.abs(nodes))) * 1.1 + 0.02
 
     def magnitudes(f, cand):
@@ -213,8 +214,7 @@ def find_active_point(sigma, m, ell, search_grid):
         cand = pts
         mags = magnitudes(sigma.raw, cand)
     else:
-        clear = np.array([_clears_nonsmooth(sigma, complex(t), reach) for t in pts])
-        cand = pts[clear]
+        cand = pts[cut_distance(pts, _cuts(sigma)) > reach]
         mags = magnitudes(sigma.raw, cand) if cand.size else np.empty(0)
         if cand.size == 0 or np.max(mags) < threshold:
             f = mollify(sigma, make_mollifier(SYNTH_MOLLIFIER_EPS, SYNTH_MOLLIFIER_Q))
@@ -235,15 +235,10 @@ def fit_poly_coeffs(target, fit_grid, degree, total_degree=False, weights=None):
     Optional positive ``weights`` reweight the grid points.
     """
     pts = fit_grid.scalars if isinstance(fit_grid, Grid) else np.asarray(fit_grid, complex).ravel()
-    if total_degree:
-        powers = [(m, total - m) for total in range(degree + 1) for m in range(total + 1)]
-    else:
-        powers = [(m, ell) for m in range(degree + 1) for ell in range(degree + 1)]
+    radius = max(1.0, float(np.max(np.abs(pts))))
+    design, powers = monomial_design(pts / radius, degree, total_degree)
     if pts.size < len(powers):
         raise ValueError("fit grid has fewer points than basis functions")
-    radius = max(1.0, float(np.max(np.abs(pts))))
-    u = pts / radius
-    design = np.stack([u**m * np.conj(u) ** ell for m, ell in powers], axis=1)
     fvals = np.asarray(target(pts), dtype=complex)
     if weights is not None:
         root = np.sqrt(np.asarray(weights, dtype=float))
@@ -259,60 +254,41 @@ def fit_poly_coeffs(target, fit_grid, degree, total_degree=False, weights=None):
     return {(m, ell): complex(c / radius ** (m + ell)) for (m, ell), c in zip(powers, coef)}
 
 
-def _sup_oriented_fit(target, fit_grid, degree, iterations=14):
-    """Total-degree fit with Lawson reweighting, keeping the best sup residual."""
-    pts = fit_grid.scalars if isinstance(fit_grid, Grid) else np.asarray(fit_grid, complex).ravel()
-    fvals = np.asarray(target(pts), dtype=complex)
-    w = np.ones(pts.size)
-    best = None
-    best_sup = np.inf
-    for _ in range(iterations):
-        coeffs = fit_poly_coeffs(target, fit_grid, degree, total_degree=True, weights=w)
-        approx = np.zeros_like(fvals)
-        for (m, ell), c in coeffs.items():
-            approx += c * pts**m * np.conj(pts) ** ell
-        resid = np.abs(fvals - approx)
+def _lawson(weighted_fit, residual, n, passes):
+    """Lawson's sup-oriented reweighting: the best of ``passes`` weighted least-squares fits.
+
+    The first pass weighs all ``n`` points equally; each later pass multiplies
+    the weights by the previous absolute residuals.  Returns the solution with
+    the smallest sup residual, and that residual.
+    """
+    w = np.ones(n)
+    best, best_sup = None, np.inf
+    for _ in range(passes):
+        solution = weighted_fit(w)
+        resid = residual(solution)
         sup = float(np.max(resid))
-        if sup < best_sup:
-            best, best_sup = coeffs, sup
+        if best is None or sup < best_sup:
+            best, best_sup = solution, sup
         w = w * (resid + 1e-12)
         w = w / np.mean(w)
     return best, best_sup
 
 
-def translate_sum(sigma, epsilon, A, m_cells):
-    """Shallow realization of the mollified activation by translates of sigma.
+def _sup_oriented_fit(target, fit_grid, degree, iterations=14):
+    """Total-degree fit with Lawson reweighting, keeping the best sup residual."""
+    pts = fit_grid.scalars if isinstance(fit_grid, Grid) else np.asarray(fit_grid, complex).ravel()
+    fvals = np.asarray(target(pts), dtype=complex)
 
-    Partitions [-A, A)^2 into m_cells^2 cells; each cell contributes one
-    neuron sigma(z - y_cell) weighted by the kernel mass of the cell.  The
-    masses sum to 1 exactly when the kernel support sits inside the box.
-    """
-    A = float(A)
-    eps = float(epsilon)
-    if A < eps:
-        raise ValueError("kernel support must fit inside the box")
-    m = int(m_cells)
-    sub = 4
-    q = m * sub
-    t = -A + (np.arange(q) + 0.5) * (2.0 * A / q)
-    uu = t[:, None] + 1j * t[None, :]
-    r2 = np.abs(uu / eps) ** 2
-    vals = np.zeros(uu.shape)
-    inside = r2 < 1.0
-    vals[inside] = np.exp(1.0 / (r2[inside] - 1.0))
-    cell = (2.0 * A / q) ** 2
-    total = vals.sum() * cell
-    weights = vals * (cell / total)
-    terms = []
-    side = 2.0 * A / m
-    for k in range(m):
-        for ell in range(m):
-            mass = float(weights[k * sub : (k + 1) * sub, ell * sub : (ell + 1) * sub].sum())
-            if mass == 0.0:
-                continue
-            y = (-A + side * k) + 1j * (-A + side * ell)
-            terms.append((mass, [1.0], -y))
-    return ShallowNetwork(c=0.0, terms=tuple(terms), input_dim=1)
+    def residual(coeffs):
+        approx = np.zeros_like(fvals)
+        for (m, ell), c in coeffs.items():
+            approx += c * pts**m * np.conj(pts) ** ell
+        return np.abs(fvals - approx)
+
+    def weighted_fit(w):
+        return fit_poly_coeffs(target, fit_grid, degree, total_degree=True, weights=w)
+
+    return _lawson(weighted_fit, residual, pts.size, iterations)
 
 
 def _rescale_shallow(net_u, center, radius):
@@ -322,9 +298,30 @@ def _rescale_shallow(net_u, center, radius):
     return ShallowNetwork(c=net_u.c, terms=terms, input_dim=1)
 
 
-def _measure(fn_true, fn_net, pts):
-    err = np.abs(np.asarray(fn_true(pts)) - np.asarray(fn_net(pts)))
-    return float(np.max(err)), float(np.mean(err))
+def _certificate(net, sigma, target, center, radius, d, config, t0, target_name, echo, stage_errors, failures=()):
+    """Errors of ``net`` against ``target`` on a held-out regular grid of the domain ball.
+
+    The grid has ``config.test_points_per_axis`` points per axis on a disc and
+    7 per real axis when d > 1.
+    """
+    shallow = isinstance(net, ShallowNetwork)
+    evaluate = eval_shallow if shallow else eval_network
+    test_grid = make_grid(center, radius, config.test_points_per_axis if d == 1 else 7)
+    pts = test_grid.scalars if d == 1 else test_grid.points
+    err = np.abs(np.asarray(target(pts)) - np.asarray(evaluate(net, sigma, pts)))
+    return ApproximationCertificate(
+        target_name=target_name,
+        domain=_domain_dict(center, radius, d),
+        test_grid_size=test_grid.size,
+        sup_error=float(np.max(err)),
+        l1_error=float(np.mean(err)),
+        network_size=(1, net.width) if shallow else (net.hidden_layers, net.total_neurons),
+        wall_time=time.time() - t0,
+        seed=config.seed,
+        config_echo=echo,
+        failures=tuple(failures),
+        stage_errors=stage_errors,
+    )
 
 
 def _require_verdict(sigma, field, config):
@@ -359,9 +356,7 @@ def synthesize_shallow(sigma, target, domain, degree, config=None, target_name="
         return target(center + radius * u)
 
     coeffs, fit_sup = _sup_oriented_fit(target_u, fit_grid, degree)
-
-    avoid = tuple(sigma.nonsmooth_set) + tuple(sigma.discontinuity_set) + tuple(sigma.singular_points)
-    search = make_grid(0.0, config.search_radius, config.search_points_per_axis, avoid=avoid, guard=0.25)
+    search = _search_grid(sigma, config)
 
     parts = []
     failures = []
@@ -370,42 +365,31 @@ def synthesize_shallow(sigma, target, domain, degree, config=None, target_name="
         if abs(c) <= config.coeff_threshold:
             continue
         try:
-            theta, _ = find_active_point(sigma, m, ell, search)
-            step = config.fd_step if m + ell <= 4 else config.fd_step_high
-            mono = extract_monomial(sigma, MonomialRequest(m=m, ell=ell, theta=theta, fd_step=step))
-            parts.append(mono.scaled(c))
+            parts.append(_extract_at_active_point(sigma, m, ell, search, config).scaled(c))
         except (NoActivePointError, InactiveExpansionPointError) as exc:
             failures.append(f"({m},{ell}): {exc}")
     net_u = concat_shallow(parts + [ShallowNetwork(c=constant, terms=())]) if parts else ShallowNetwork(
         c=constant, terms=()
     )
     net = _rescale_shallow(net_u, center, radius)
-
-    test_grid = make_grid(center, radius, config.test_points_per_axis)
-    sup, l1 = _measure(target, lambda z: eval_shallow(net, sigma, z), test_grid.scalars)
-    cert = ApproximationCertificate(
-        target_name=target_name,
-        domain=_domain_dict(center, radius, 1),
-        test_grid_size=test_grid.size,
-        sup_error=sup,
-        l1_error=l1,
-        network_size=(1, net.width),
-        wall_time=time.time() - t0,
-        seed=config.seed,
-        config_echo={**config.echo(), "degree": degree},
-        failures=tuple(failures),
-        stage_errors={"fit_sup_on_fit_grid": fit_sup},
-    )
+    echo = {**config.echo(), "degree": degree}
+    stage_errors = {"fit_sup_on_fit_grid": fit_sup}
+    cert = _certificate(net, sigma, target, center, radius, 1, config, t0, target_name, echo, stage_errors, failures)
     return net, cert
+
+
+def _extract_at_active_point(sigma, m, ell, search, config):
+    """z^m zbar^l extracted at the most active point of ``search``; search and extraction share one step."""
+    step = config.fd_step_for(m + ell)
+    theta, _ = find_active_point(sigma, m, ell, search, step)
+    return extract_monomial(sigma, MonomialRequest(m=m, ell=ell, theta=theta, fd_step=step))
 
 
 def _extract_real_part(sigma, config, search):
     """Shallow net ~ Re u on the unit ball: (id + conj)/2 by degree-1 extraction."""
     parts = []
     for m, ell in ((1, 0), (0, 1)):
-        theta, _ = find_active_point(sigma, m, ell, search)
-        mono = extract_monomial(sigma, MonomialRequest(m=m, ell=ell, theta=theta, fd_step=config.fd_step))
-        parts.append(mono.scaled(0.5))
+        parts.append(_extract_at_active_point(sigma, m, ell, search, config).scaled(0.5))
     return concat_shallow(parts)
 
 
@@ -417,9 +401,7 @@ def _extract_identity(sigma, config, search):
     """
     for m, ell in ((1, 0), (0, 1)):
         try:
-            theta, _ = find_active_point(sigma, m, ell, search)
-            mono = extract_monomial(sigma, MonomialRequest(m=m, ell=ell, theta=theta, fd_step=config.fd_step))
-            return mono, (m, ell)
+            return _extract_at_active_point(sigma, m, ell, search, config)
         except (NoActivePointError, InactiveExpansionPointError):
             continue
     raise NoActivePointError("no active point found")
@@ -432,8 +414,7 @@ def _scale_output(theta, factor):
 
 
 def _search_grid(sigma, config):
-    avoid = tuple(sigma.nonsmooth_set) + tuple(sigma.discontinuity_set) + tuple(sigma.singular_points)
-    return make_grid(0.0, config.search_radius, config.search_points_per_axis, avoid=avoid, guard=0.25)
+    return make_grid(0.0, config.search_radius, config.search_points_per_axis, avoid=_cuts(sigma), guard=0.25)
 
 
 def _chebyshev_relu(r, budget, max_degree=JET_LIMIT - 1):
@@ -488,11 +469,7 @@ def build_relu_c(sigma, r, eps, config=None, gate=True):
             continue
         for j in range(k + 1):
             c = a_k * math.comb(k, j) * 2.0 ** (-k) * outer_radius**k
-            m, ell = j, k - j
-            theta, _ = find_active_point(sigma, m, ell, search)
-            step = config.fd_step if k <= 4 else config.fd_step_high
-            mono = extract_monomial(sigma, MonomialRequest(m=m, ell=ell, theta=theta, fd_step=step))
-            parts.append(mono.scaled(c))
+            parts.append(_extract_at_active_point(sigma, j, k - j, search, config).scaled(c))
     phi_u = concat_shallow(parts + [ShallowNetwork(c=constant, terms=())])
     phi = _rescale_shallow(phi_u, 0.0, outer_radius)
 
@@ -536,7 +513,7 @@ def pad_with_identity(net, sigma, extra_layers, radius, config=None, exact_compo
         pad = _passthrough_net()
     else:
         search = _search_grid(sigma, config)
-        ident_u, _ = _extract_identity(sigma, config, search)
+        ident_u = _extract_identity(sigma, config, search)
         pad = _rescale_shallow(ident_u.scaled(radius), 0.0, radius).to_network()
     for _ in range(extra_layers):
         net = compose(pad, net)
@@ -553,28 +530,45 @@ def _ridge_parameters(rng, count, d, radius, bias_scale):
     return w, gamma
 
 
-def _relu_feature_matrix(w, gamma, pts):
-    pre = (pts @ w.T).real + gamma
-    return np.maximum(0.0, pre)
-
-
 def _refit_design(features, fvals, lawson=0):
     """Coefficients (constant first) fitting ``fvals``; optional sup-oriented passes."""
     design = np.concatenate([np.ones((features.shape[0], 1)), features], axis=1)
-    coef, *_ = np.linalg.lstsq(design, fvals, rcond=None)
-    resid = np.abs(fvals - design @ coef)
-    best, best_sup = coef, float(np.max(resid))
-    w = np.ones(fvals.size)
-    for _ in range(lawson):
-        w = w * (resid + 1e-12)
-        w = w / np.mean(w)
+
+    def weighted_fit(w):
         root = np.sqrt(w)
         coef, *_ = np.linalg.lstsq(design * root[:, None], fvals * root, rcond=None)
-        resid = np.abs(fvals - design @ coef)
-        sup = float(np.max(resid))
-        if sup < best_sup:
-            best, best_sup = coef, sup
-    return best, best_sup
+        return coef
+
+    return _lawson(weighted_fit, lambda coef: np.abs(fvals - design @ coef), fvals.size, 1 + lawson)
+
+
+def _ball(domain, d):
+    """(center in C^d, radius) of a ``(center, radius)`` domain; a scalar center repeats."""
+    center, radius = domain
+    center = np.atleast_1d(np.asarray(center, dtype=complex))
+    if center.shape[0] != d:
+        center = np.full(d, complex(center[0]))
+    return center, float(radius)
+
+
+def _ridge_stage(target, center, radius, d, width, config, rng):
+    """Seeded real one-hidden-layer ReLU ridge fit of ``target``, shared by deep and lifted synthesis.
+
+    Ridge j is max(0, Re(w_j . (z - center)) + gamma_j).  Its pre-activation
+    divided by s_j, which keeps it inside the unit disc on the fit points, is
+    ``(w_j / s_j) . z + bias_j``; column j of ``scaled_pre`` holds it on the
+    fit points.  Returns (fvals, w, s, bias, scaled_pre, stage1_sup), where
+    stage1_sup is the sup residual of the ideal ReLU ridge fit.
+    """
+    n_fit = max(config.ridge_fit_points, 5 * width)
+    fit_pts = random_points(center, radius, n_fit, rng, d=d)
+    fvals = np.asarray(target(fit_pts), dtype=complex)
+    w, gamma = _ridge_parameters(rng, width, d, radius, config.ridge_bias_scale)
+    pre = (fit_pts - center) @ w.T + gamma
+    _, stage1_sup = _refit_design(np.maximum(0.0, pre.real), fvals)
+    s = 1.05 * np.maximum(np.max(np.abs(pre), axis=0), 1e-9)
+    bias = [gamma[j] / s[j] - (w[j] @ center) / s[j] for j in range(width)]
+    return fvals, w, s, bias, pre / s, stage1_sup
 
 
 def synthesize_deep(sigma, target, d, L, domain, config=None, target_name="custom", gate=True):
@@ -590,80 +584,31 @@ def synthesize_deep(sigma, target, d, L, domain, config=None, target_name="custo
         raise ValueError("deep synthesis needs at least two hidden layers")
     if gate:
         _require_verdict(sigma, "deep_universal", config)
-    center, radius = domain
-    center = np.atleast_1d(np.asarray(center, dtype=complex))
-    if center.shape[0] != d:
-        center = np.full(d, complex(center[0]))
-    radius = float(radius)
+    center, radius = _ball(domain, d)
     t0 = time.time()
-    rng = np.random.default_rng(config.seed)
     stage_errors = {}
 
     if target_name == "relu_c" and d == 1:
         # the target is the pivot function itself: deepen the surrogate only
         rho_hat, exact = _relu_surrogate(sigma, radius, config.relu_eps, config, gate=False)
         net = pad_with_identity(rho_hat, sigma, L - 2, radius + 1.0, config, exact_composer=exact)
-        test_grid = make_grid(center, radius, config.test_points_per_axis)
-        sup, l1 = _measure(target, lambda z: eval_network(net, sigma, z), test_grid.scalars)
-        cert = ApproximationCertificate(
-            target_name=target_name,
-            domain=_domain_dict(center, radius, d),
-            test_grid_size=test_grid.size,
-            sup_error=sup,
-            l1_error=l1,
-            network_size=(net.hidden_layers, net.total_neurons),
-            wall_time=time.time() - t0,
-            seed=config.seed,
-            config_echo={**config.echo(), "layers": L},
-            stage_errors=stage_errors,
-        )
-        return net, cert
+    else:
+        # dense block algebra keeps widths modest: few ridges, lean surrogate
+        rho_hat, exact = _relu_surrogate(sigma, 1.3, config.deep_relu_eps, config, gate=False)
+        rho_deep = pad_with_identity(rho_hat, sigma, L - 2, 1.3, config, exact_composer=exact)
+        width = config.deep_ridge_width if not exact else config.real_stage_width
+        rng = np.random.default_rng(config.seed)
+        fvals, w, s, bias, scaled_pre, stage1_sup = _ridge_stage(target, center, radius, d, width, config, rng)
+        # all ridges share the surrogate: evaluate it once on the stacked pre-activations
+        flat = np.asarray(eval_network(rho_deep, sigma, scaled_pre.T.reshape(-1)), dtype=complex)
+        features = flat.reshape(width, fvals.size).T * s
+        coef, refit_sup = _refit_design(features, fvals, lawson=4)
+        stage_errors = {"stage1_sup": stage1_sup, "refit_sup_on_fit_points": refit_sup}
+        ridge_nets = [_scale_output(lift_affine(rho_deep, w[j] / s[j], bias[j]), s[j]) for j in range(width)]
+        net = linear_combine_many(ridge_nets, coef[1:], constant=coef[0])
 
-    # dense block algebra keeps widths modest: few ridges, lean surrogate
-    rho_hat, exact = _relu_surrogate(sigma, 1.3, config.deep_relu_eps, config, gate=False)
-    rho_deep = pad_with_identity(rho_hat, sigma, L - 2, 1.3, config, exact_composer=exact)
-    width = config.deep_ridge_width if not exact else config.real_stage_width
-
-    n_fit = max(config.ridge_fit_points, 5 * width)
-    fit_pts = random_points(center, radius, n_fit, rng, d=d)
-    fvals = np.asarray(target(fit_pts), dtype=complex)
-    w, gamma = _ridge_parameters(rng, width, d, radius, config.ridge_bias_scale)
-    shifted = fit_pts - center
-    # stage-1 diagnostic: ideal real-ReLU ridge fit
-    ideal = _relu_feature_matrix(w, gamma, shifted)
-    _, stage1_sup = _refit_design(ideal, fvals)
-    stage_errors["stage1_sup"] = stage1_sup
-
-    pre = shifted @ w.T + gamma
-    s = 1.05 * np.maximum(np.max(np.abs(pre), axis=0), 1e-9)
-    scaled_pre = pre / s
-    # all ridges share the surrogate: evaluate it once on the stacked pre-activations
-    flat = np.asarray(eval_network(rho_deep, sigma, scaled_pre.T.reshape(-1)), dtype=complex)
-    features = flat.reshape(width, n_fit).T * s
-    coef, refit_sup = _refit_design(features, fvals, lawson=4)
-    stage_errors["refit_sup_on_fit_points"] = refit_sup
-    ridge_nets = []
-    for j in range(width):
-        ridge = lift_affine(rho_deep, w[j] / s[j], gamma[j] / s[j] - (w[j] @ center) / s[j])
-        ridge_nets.append(_scale_output(ridge, s[j]))
-    net = linear_combine_many(ridge_nets, coef[1:], constant=coef[0])
-
-    per_axis = config.test_points_per_axis if d == 1 else 7
-    test_grid = make_grid(center, radius, per_axis)
-    sup, l1 = _measure(target, lambda z: eval_network(net, sigma, z), test_grid.points if d > 1 else test_grid.scalars)
-    cert = ApproximationCertificate(
-        target_name=target_name,
-        domain=_domain_dict(center, radius, d),
-        test_grid_size=test_grid.size,
-        sup_error=sup,
-        l1_error=l1,
-        network_size=(net.hidden_layers, net.total_neurons),
-        wall_time=time.time() - t0,
-        seed=config.seed,
-        config_echo={**config.echo(), "layers": L},
-        stage_errors=stage_errors,
-    )
-    return net, cert
+    echo = {**config.echo(), "layers": L}
+    return net, _certificate(net, sigma, target, center, radius, d, config, t0, target_name, echo, stage_errors)
 
 
 def lift_dimension(sigma, target, domain, d, config=None, target_name="custom", gate=True):
@@ -679,11 +624,7 @@ def lift_dimension(sigma, target, domain, d, config=None, target_name="custom", 
         raise ValueError("dimension lifting targets d >= 2")
     if gate:
         _require_verdict(sigma, "shallow_universal", config)
-    center, radius = domain
-    center = np.atleast_1d(np.asarray(center, dtype=complex))
-    if center.shape[0] != d:
-        center = np.full(d, complex(center[0]))
-    radius = float(radius)
+    center, radius = _ball(domain, d)
     t0 = time.time()
     rng = np.random.default_rng(config.seed)
 
@@ -698,47 +639,24 @@ def lift_dimension(sigma, target, domain, d, config=None, target_name="custom", 
         c=alpha[0], terms=tuple((alpha[1 + k], [u_k[k]], c_k[k]) for k in range(config.psi_width))
     )
 
-    n_fit = max(config.ridge_fit_points, 5 * config.real_stage_width)
-    fit_pts = random_points(center, radius, n_fit, rng, d=d)
-    fvals = np.asarray(target(fit_pts), dtype=complex)
-    w, gamma = _ridge_parameters(rng, config.real_stage_width, d, radius, config.ridge_bias_scale)
-    shifted = fit_pts - center
-    ideal = _relu_feature_matrix(w, gamma, shifted)
-    _, stage1_sup = _refit_design(ideal, fvals)
-
-    pre = shifted @ w.T + gamma
-    s = 1.05 * np.maximum(np.max(np.abs(pre), axis=0), 1e-9)
+    width = config.real_stage_width
+    fvals, w, s, bias, scaled_pre, stage1_sup = _ridge_stage(target, center, radius, d, width, config, rng)
     # substituted ridge features: s_j * psi((gamma_j + w_j . (z - center)) / s_j)
-    scaled_pre = pre / s
     psi_w = np.array([t[1][0] for t in psi.terms])
     psi_b = np.array([t[2] for t in psi.terms])
     psi_a = np.array([t[0] for t in psi.terms])
-    features = np.empty((n_fit, config.real_stage_width), dtype=complex)
-    for j in range(config.real_stage_width):
+    features = np.empty((fvals.size, width), dtype=complex)
+    for j in range(width):
         vals = sigma.raw(scaled_pre[:, j : j + 1] * psi_w[None, :] + psi_b[None, :])
         features[:, j] = s[j] * (vals @ psi_a + psi.c)
     coef, refit_sup = _refit_design(features, fvals, lawson=8)
 
     terms = []
-    for j in range(config.real_stage_width):
-        base_bias = gamma[j] / s[j] - (w[j] @ center) / s[j]
+    for j in range(width):
         for k in range(config.psi_width):
-            terms.append((coef[1 + j] * s[j] * psi_a[k], (psi_w[k] / s[j]) * w[j], psi_b[k] + psi_w[k] * base_bias))
+            terms.append((coef[1 + j] * s[j] * psi_a[k], (psi_w[k] / s[j]) * w[j], psi_b[k] + psi_w[k] * bias[j]))
     constant = coef[0] + complex(np.sum(coef[1:] * s * psi.c))
     net = ShallowNetwork(c=constant, terms=tuple(terms), input_dim=d)
-
-    test_grid = make_grid(center, radius, 7)
-    sup, l1 = _measure(target, lambda z: eval_shallow(net, sigma, z), test_grid.points)
-    cert = ApproximationCertificate(
-        target_name=target_name,
-        domain=_domain_dict(center, radius, d),
-        test_grid_size=test_grid.size,
-        sup_error=sup,
-        l1_error=l1,
-        network_size=(1, net.width),
-        wall_time=time.time() - t0,
-        seed=config.seed,
-        config_echo=config.echo(),
-        stage_errors={"stage1_sup": stage1_sup, "psi_sup": psi_sup, "refit_sup_on_fit_points": refit_sup},
-    )
+    stage_errors = {"stage1_sup": stage1_sup, "psi_sup": psi_sup, "refit_sup_on_fit_points": refit_sup}
+    cert = _certificate(net, sigma, target, center, radius, d, config, t0, target_name, config.echo(), stage_errors)
     return net, cert

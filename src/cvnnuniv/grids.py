@@ -61,10 +61,6 @@ def line_cut(anchor, direction):
     return Cut("line", (complex(anchor),), complex(direction))
 
 
-def real_axis_cut():
-    return line_cut(0.0, 1.0)
-
-
 def cut_distance(z, cuts):
     """Distance from ``z`` to the union of ``cuts`` (inf for no cuts)."""
     z = np.asarray(z, dtype=complex)

@@ -91,22 +91,26 @@ class WirtingerJet:
         return self.values[key]
 
 
+def wirtinger_terms(m, ell):
+    """Binomial expansion of d^m dbar^l into real partials, one term per (j, k).
+
+    Returns [(a, b, coeff)] with d^m dbar^l = sum coeff * d^a/dx^a d^b/dy^b;
+    terms may repeat an (a, b) pair.
+    """
+    pref = 2.0 ** (-(m + ell))
+    terms = []
+    for j in range(m + 1):
+        for k in range(ell + 1):
+            coeff = pref * math.comb(m, j) * math.comb(ell, k) * (-1j) ** (m - j) * (1j) ** (ell - k)
+            terms.append((j + k, (m - j) + (ell - k), coeff))
+    return terms
+
+
 def _mixed_coefficients(m, ell):
     """Expansion of d^m dbar^l into real partials: {(a, b): coeff}."""
     out = {}
-    pref = 2.0 ** (-(m + ell))
-    for j in range(m + 1):
-        for k in range(ell + 1):
-            a = j + k
-            b = (m - j) + (ell - k)
-            coeff = (
-                pref
-                * math.comb(m, j)
-                * math.comb(ell, k)
-                * (-1j) ** (m - j)
-                * (1j) ** (ell - k)
-            )
-            out[(a, b)] = out.get((a, b), 0.0) + coeff
+    for a, b, coeff in wirtinger_terms(m, ell):
+        out[(a, b)] = out.get((a, b), 0.0) + coeff
     return out
 
 
@@ -118,33 +122,21 @@ def _stencil_samples(f, zs, n, h):
     vals = np.asarray(f(pts), dtype=complex)
     if not np.all(np.isfinite(vals)):
         raise StencilSingularityError("stencil hit singularity")
-    return vals, offs
+    return vals
 
 
 def wirtinger_jet(f, z0, max_dz, max_dzbar, step=None):
     """All entries (d^m dbar^l f)(z0) for m <= max_dz, l <= max_dzbar.
 
     ``f`` must accept complex ndarrays.  The error is O(step^4) for functions
-    smooth on the stencil's footprint.
+    smooth on the stencil's footprint; the default step is
+    ``default_step(max_dz + max_dzbar, z0)``.
     """
     z0 = complex(z0)
-    K = max_dz + max_dzbar
-    h = default_step(K, z0) if step is None else float(step)
-    n = stencil_halfwidth(K)
-    vals, offs = _stencil_samples(f, z0, n, h)
-    w = [fd_weights(a, offs * h) for a in range(K + 1)]
-    partials = {}
-    for a in range(K + 1):
-        for b in range(K + 1 - a):
-            partials[(a, b)] = w[a] @ vals @ w[b]
-    table = {}
-    for m in range(max_dz + 1):
-        for ell in range(max_dzbar + 1):
-            acc = 0.0 + 0j
-            for (a, b), coeff in _mixed_coefficients(m, ell).items():
-                acc += coeff * partials[(a, b)]
-            table[(m, ell)] = complex(acc)
-    table[(0, 0)] = complex(vals[n, n])
+    h = default_step(max_dz + max_dzbar, z0) if step is None else float(step)
+    entries = [(m, ell) for m in range(max_dz + 1) for ell in range(max_dzbar + 1)]
+    vals = jet_entries_at(f, np.array([z0]), entries, step=h)
+    table = {e: complex(v[0]) for e, v in vals.items()}
     return WirtingerJet(base_point=z0, max_dz=max_dz, max_dzbar=max_dzbar, values=table, step=h)
 
 
@@ -180,7 +172,7 @@ def jet_entries_at(f, zs, entries, step=None, step_scale=None):
         while j < flat_z.size and flat_h[order[j]] == h:
             j += 1
         sel = order[idx:j]
-        vals, _ = _stencil_samples(f, flat_z[sel], n, h)
+        vals = _stencil_samples(f, flat_z[sel], n, h)
         w = [fd_weights(a, offs * h) for a in range(K + 1)]
         partial_cache = {}
         for e in entries:
@@ -194,24 +186,12 @@ def jet_entries_at(f, zs, entries, step=None, step_scale=None):
     return out
 
 
-def jet_entry_at(f, zs, m, ell, step=None, step_scale=None):
-    """(d^m dbar^l f) evaluated at every point of ``zs`` (vectorized)."""
-    return jet_entries_at(f, zs, [(m, ell)], step=step, step_scale=step_scale)[(m, ell)]
-
-
 def laplacian_power(f, m, z0, step=None):
     """(Delta^m f)(z0) via the identity Delta^m = 4^m d^m dbar^m."""
     if m < 1:
         raise ValueError("m must be at least 1")
     jet = wirtinger_jet(f, z0, m, m, step=step)
     return (4.0**m) * jet[(m, m)]
-
-
-def laplacian_power_at(f, zs, m, step=None, step_scale=None):
-    """Vectorized ``laplacian_power`` over an array of points."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    return (4.0**m) * jet_entry_at(f, zs, m, m, step=step, step_scale=step_scale)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -290,12 +270,3 @@ def mollify(sigma, spec):
         return out.reshape(z.shape)
 
     return smoothed
-
-
-def smooth_view(sigma, spec=None, epsilon=0.05, quadrature_points_per_axis=64):
-    """``sigma`` itself when smooth, otherwise its mollification."""
-    if sigma.smooth:
-        return sigma.raw
-    if spec is None:
-        spec = make_mollifier(epsilon, quadrature_points_per_axis)
-    return mollify(sigma, spec)

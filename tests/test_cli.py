@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 
+from cvnnuniv import cli
 from cvnnuniv.activations import by_name
 from cvnnuniv.cli import run_cli
 from cvnnuniv.constructor import ConstructorConfig, synthesize_shallow
@@ -183,7 +184,7 @@ def test_network_out(tmp_path):
         assert np.array_equal(b1.view(np.uint64), b2.view(np.uint64))
 
 
-def test_unwritable_output_exits_2(tmp_path, capsys):
+def test_unwritable_output_exits_2(tmp_path, capsys, monkeypatch):
     missing = tmp_path / "missing" / "x.json"
     floor = ["floor", "--activation", "ratio", "--target", "cone", "--widths", "10"]
     assert run_cli(floor + ["--out", str(missing)]) == 2
@@ -192,3 +193,13 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     assert run_cli(approx + ["--out", str(tmp_path / "cert.json"), "--network-out", str(missing)]) == 2
     assert "cannot write" in capsys.readouterr().err
     assert not missing.parent.exists()
+
+    # both outputs are checked before synthesis starts, and the failed run writes no certificate
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("synthesis ran despite an unwritable output")
+
+    monkeypatch.setattr(cli, "synthesize_shallow", no_synthesis)
+    assert run_cli(approx + ["--out", str(tmp_path / "cert.json"), "--network-out", str(missing)]) == 2
+    assert run_cli(approx + ["--out", str(missing), "--network-out", str(tmp_path / "net.json")]) == 2
+    assert not (tmp_path / "cert.json").exists()
+    assert not (tmp_path / "net.json").exists()

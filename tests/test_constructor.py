@@ -3,6 +3,7 @@ import pytest
 
 from cvnnuniv.activations import by_name
 from cvnnuniv.constructor import (
+    JET_LIMIT,
     ConstructorConfig,
     MonomialRequest,
     build_relu_c,
@@ -13,13 +14,13 @@ from cvnnuniv.constructor import (
     pad_with_identity,
     synthesize_deep,
     synthesize_shallow,
-    translate_sum,
+    _w_stencil,
 )
 from cvnnuniv.errors import InactiveExpansionPointError, NoActivePointError, SynthesisRefusedError
 from cvnnuniv.grids import make_grid
 from cvnnuniv.network import eval_network, eval_shallow
 from cvnnuniv.targets import cone, relu_c, resolve_target, rez
-from cvnnuniv.wirtinger import make_mollifier, mollify
+from cvnnuniv.wirtinger import jet_entries_at, make_mollifier, mollify
 
 RATIO = by_name("ratio")
 ABS2 = by_name("abs2")
@@ -41,8 +42,8 @@ def test_monomial_fidelity_ratio_all_orders():
     for total in range(1, 7):
         for m in range(total + 1):
             ell = total - m
-            theta, _ = find_active_point(RATIO, m, ell, search)
-            step = 0.01 if total <= 4 else 0.015
+            step = CFG.fd_step_for(total)
+            theta, _ = find_active_point(RATIO, m, ell, search, step)
             mono = extract_monomial(RATIO, MonomialRequest(m=m, ell=ell, theta=theta, fd_step=step))
             got = eval_shallow(mono, RATIO, UNIT)
             want = UNIT**m * np.conj(UNIT) ** ell
@@ -81,13 +82,31 @@ def test_ratio_identity_through_mollified_path():
 
 def test_find_active_point_cases():
     search = make_grid(0.0, 1.0, 11)
-    theta, mag = find_active_point(ABS2, 1, 1, search)
+    theta, mag = find_active_point(ABS2, 1, 1, search, 0.01)
     assert mag == pytest.approx(1.0, rel=1e-6)
     with pytest.raises(NoActivePointError, match="no active point found"):
-        find_active_point(by_name("sin"), 0, 1, search)
+        find_active_point(by_name("sin"), 0, 1, search, 0.01)
     search_r = make_grid(0.0, 1.0, 11, avoid=RATIO.nonsmooth_set, guard=0.25)
-    theta, mag = find_active_point(RATIO, 2, 1, search_r)
+    theta, mag = find_active_point(RATIO, 2, 1, search_r, 0.01)
     assert mag > 0.01 and abs(theta) >= 0.25
+
+
+def test_dilation_stencil_matches_jet_entries():
+    # extraction's stencil and the classifier's jet sum one Wirtinger expansion in two
+    # orders; they must agree to extract_monomial's noise floor at the steps it uses
+    def f(z):
+        return np.exp(0.7 * z) * np.conj(z) ** 2 + np.sin(np.conj(z))
+
+    for theta in (0.3 - 0.2j, -0.45 + 0.6j):
+        for total in range(JET_LIMIT + 1):
+            step = CFG.fd_step_for(total)
+            for m in range(total + 1):
+                ell = total - m
+                nodes, coeffs = _w_stencil(m, ell, step)
+                samples = f(theta + nodes)
+                jet = jet_entries_at(f, np.array([theta]), [(m, ell)], step=step)[(m, ell)][0]
+                bound = 4 * 2.3e-16 * np.sum(np.abs(coeffs)) * np.max(np.abs(samples))
+                assert abs(np.sum(coeffs * samples) - jet) <= bound, (theta, m, ell)
 
 
 def test_fit_poly_coeffs_exact_cases():
@@ -124,39 +143,6 @@ def test_fit_poly_coeffs_radius_scaling():
     grid = make_grid(0.0, 2.5, 15)
     coeffs = fit_poly_coeffs(lambda z: 0.25 * z**2, grid, 2)
     assert coeffs[(2, 0)] == pytest.approx(0.25, abs=1e-9)
-
-
-def test_translate_sum_affine_within_quadrature_error():
-    # cell corners anchor the translates, so affine functions come back with
-    # at most half a cell of bias, shrinking as the partition refines
-    affine = by_name("poly_zzbar")
-    zs = UNIT[:50]
-    errs = []
-    for m_cells in (8, 32):
-        net = translate_sum(affine, 0.05, 0.05, m_cells)
-        got = eval_shallow(net, affine, zs)
-        errs.append(float(np.max(np.abs(got - affine(zs)))))
-        assert errs[-1] <= 4.0 * 0.05 / m_cells
-    assert errs[1] < errs[0]
-
-
-def test_translate_sum_weights_sum_to_one():
-    net = translate_sum(RATIO, 0.05, 0.05, 8)
-    total = sum(t[0].real for t in net.terms)
-    assert total == pytest.approx(1.0, abs=1e-6)
-
-
-def test_translate_sum_converges_to_mollification():
-    rho = by_name("rho_c")
-    reference = mollify(rho, make_mollifier(0.05, 96))
-    zs = np.linspace(-0.2, 0.2, 41) + 0.05j
-    sups = []
-    for m_cells in (4, 8, 16):
-        net = translate_sum(rho, 0.05, 0.05, m_cells)
-        got = eval_shallow(net, rho, zs)
-        sups.append(np.max(np.abs(got - reference(zs))))
-    assert sups[1] <= sups[0] + 1e-12
-    assert sups[2] <= sups[1] + 1e-12
 
 
 def test_synthesize_exact_monomial_chain():

@@ -9,7 +9,6 @@ from cvnnuniv.grids import (
     points_cut,
     random_points,
     ray_cut,
-    real_axis_cut,
 )
 
 
@@ -29,7 +28,7 @@ def test_all_points_inside_ball():
 
 
 def test_avoid_real_axis_guard():
-    g = make_grid(0.0, 1.0, 9, avoid=(real_axis_cut(),))
+    g = make_grid(0.0, 1.0, 9, avoid=(line_cut(0.0, 1.0),))
     guard = 1.0 / 90.0
     assert np.all(np.abs(g.scalars.imag) >= guard)
 

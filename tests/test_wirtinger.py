@@ -5,11 +5,10 @@ from cvnnuniv.activations import by_name
 from cvnnuniv.errors import StencilSingularityError
 from cvnnuniv.grids import random_points
 from cvnnuniv.wirtinger import (
-    jet_entry_at,
+    jet_entries_at,
     laplacian_power,
     make_mollifier,
     mollify,
-    smooth_view,
     wirtinger_jet,
 )
 
@@ -155,15 +154,9 @@ def test_mollify_rho_c():
     assert v.real == pytest.approx(oracle.real, rel=1e-2)
 
 
-def test_smooth_view_passthrough():
-    sin = by_name("sin")
-    zs = np.linspace(-1, 1, 9) + 0.3j
-    assert np.array_equal(smooth_view(sin)(zs), sin.raw(zs))
-
-
 def test_jet_entry_at_matches_pointwise():
     f = lambda z: np.sin(z) + z * np.conj(z)
     zs = random_points(0.0, 1.5, 7, np.random.default_rng(8))[:, 0]
-    batch = jet_entry_at(f, zs, 1, 1, step=0.01)
+    batch = jet_entries_at(f, zs, [(1, 1)], step=0.01)[(1, 1)]
     single = np.array([wirtinger_jet(f, complex(z), 1, 1, step=0.01)[(1, 1)] for z in zs])
     assert np.max(np.abs(batch - single)) < 1e-10
