@@ -3,6 +3,7 @@
 __version__ = "0.1.0"
 
 from .activations import ActivationSpec, activation_catalog, activation_names, by_name
+from .constructor import fit_poly_coeffs
 from .grids import Grid, make_grid
 from .network import (
     NetworkWeights,
@@ -28,6 +29,7 @@ __all__ = [
     "compose",
     "eval_network",
     "eval_shallow",
+    "fit_poly_coeffs",
     "laplacian_power",
     "lift_affine",
     "linear_combine",

@@ -29,23 +29,25 @@ YES = "yes"
 NO = "no"
 INDETERMINATE = "indeterminate"
 
+# fixed numerical policy; the report's version pins it
+GRID_POINTS_PER_AXIS = 33
+MOLLIFIER_EPSILON = 0.05
+MOLLIFIER_QUADRATURE = 40
+MAX_ORDER = 4
+MAX_DEGREE = 4
+POINT_SINGULARITY_GUARD = 0.5
+DERIVATIVE_PROBES = 120
+NEAR_CUT_PROBES = 48
+HOLOMORPHY_PROBES = 200
+
 
 @dataclasses.dataclass(frozen=True)
 class ClassifierConfig:
-    """Numerical policy for :func:`classify`; echoed into every report."""
+    """Settable policy for :func:`classify`; echoed into every report."""
 
     seed: int = 0
     tol: float = 1e-4
     grid_radius: float = 2.0
-    grid_points_per_axis: int = 33
-    mollifier_epsilon: float = 0.05
-    mollifier_quadrature: int = 40
-    max_order: int = 4
-    max_degree: int = 4
-    point_singularity_guard: float = 0.5
-    derivative_probes: int = 120
-    near_cut_probes: int = 48
-    holomorphy_probes: int = 200
 
     def echo(self):
         return dataclasses.asdict(self)
@@ -85,9 +87,8 @@ def _scale_of(f, pts):
     return max(1.0, float(np.max(np.abs(f(pts)))))
 
 
-def _smoothed(sigma, config):
-    spec = make_mollifier(config.mollifier_epsilon, config.mollifier_quadrature)
-    return mollify(sigma, spec)
+def _smoothed(sigma):
+    return mollify(sigma, make_mollifier(MOLLIFIER_EPSILON, MOLLIFIER_QUADRATURE))
 
 
 def detect_polyharmonic(sigma, max_order, grid, tol, mollifier=None):
@@ -111,7 +112,7 @@ def detect_polyharmonic(sigma, max_order, grid, tol, mollifier=None):
             if r < tol:
                 return True, m, residuals
         return False, None, residuals
-    f = mollifier if mollifier is not None else _smoothed(sigma, ClassifierConfig())
+    f = mollifier if mollifier is not None else _smoothed(sigma)
     scale = _scale_of(f, pts)
     # two shared stencil samplings: orders {1, 2} then {3, 4, ...}
     low = [(m, m) for m in range(1, min(2, max_order) + 1)]
@@ -133,11 +134,17 @@ def detect_polyharmonic(sigma, max_order, grid, tol, mollifier=None):
 
 
 def _directional_residuals(sigma, pts, mollifier=None):
-    f = sigma.raw if sigma.smooth else (mollifier or _smoothed(sigma, ClassifierConfig()))
+    f = sigma.raw if sigma.smooth else (mollifier or _smoothed(sigma))
     vals = jet_entries_at(f, pts, [(1, 0), (0, 1)], step_scale=0.01)
     d_res = float(np.max(np.abs(vals[(1, 0)])))
     dbar_res = float(np.max(np.abs(vals[(0, 1)])))
     return d_res, dbar_res
+
+
+def _holomorphy_flags(d_res, dbar_res, tol):
+    """(holomorphic, antiholomorphic): |dbar|, resp. |d|, at most ``tol`` relative to max(|d|, |dbar|, 1)."""
+    scale = max(d_res, dbar_res, 1.0)
+    return dbar_res <= tol * scale, d_res <= tol * scale
 
 
 def detect_holomorphy(sigma, grid, tol, mollifier=None):
@@ -147,10 +154,7 @@ def detect_holomorphy(sigma, grid, tol, mollifier=None):
     sigma is not smooth) against ``tol`` relative to max(|d|, |dbar|, 1).
     """
     pts = _points_of(grid)
-    d_res, dbar_res = _directional_residuals(sigma, pts, mollifier)
-    scale = max(d_res, dbar_res, 1.0)
-    holo = dbar_res <= tol * scale
-    anti = d_res <= tol * scale
+    holo, anti = _holomorphy_flags(*_directional_residuals(sigma, pts, mollifier), tol)
     if holo and not anti:
         return "holomorphic"
     if anti and not holo:
@@ -190,7 +194,7 @@ def detect_polynomial(sigma, max_degree, grid, tol, mollifier=None, deriv_points
     (found, degree_or_None).
     """
     pts = _points_of(grid)
-    f = sigma.raw if sigma.smooth else (mollifier or _smoothed(sigma, ClassifierConfig()))
+    f = sigma.raw if sigma.smooth else (mollifier or _smoothed(sigma))
     fvals = f(pts)
     scale = max(1.0, float(np.max(np.abs(fvals))))
     radius = max(1.0, float(np.max(np.abs(pts))))
@@ -214,24 +218,24 @@ def detect_polynomial(sigma, max_degree, grid, tol, mollifier=None, deriv_points
 
 def _classification_points(sigma, config):
     """Raw-path points, mollified-path points, and near-cut probes."""
-    base = make_grid(0.0, config.grid_radius, config.grid_points_per_axis)
+    base = make_grid(0.0, config.grid_radius, GRID_POINTS_PER_AXIS)
     pts = base.scalars
     point_cuts = tuple(c for c in avoid_set(sigma) if c.kind == "points")
     curve_cuts = tuple(c for c in avoid_set(sigma) if c.kind != "points")
     mask = np.ones(pts.size, dtype=bool)
     if point_cuts:
-        mask &= cut_distance(pts, point_cuts) >= config.point_singularity_guard
+        mask &= cut_distance(pts, point_cuts) >= POINT_SINGULARITY_GUARD
     moll_pts = pts[mask]
     raw_mask = mask.copy()
     if curve_cuts:
-        guard = config.grid_radius / (10.0 * config.grid_points_per_axis)
+        guard = config.grid_radius / (10.0 * GRID_POINTS_PER_AXIS)
         raw_mask &= cut_distance(pts, curve_cuts) >= guard
     raw_pts = pts[raw_mask]
     cuts = tuple(sigma.nonsmooth_set) + tuple(sigma.discontinuity_set)
     near = np.empty(0, dtype=complex)
     if cuts:
         dist = cut_distance(moll_pts, cuts)
-        near = moll_pts[dist <= 1.5 * config.mollifier_epsilon]
+        near = moll_pts[dist <= 1.5 * MOLLIFIER_EPSILON]
     return raw_pts, moll_pts, near
 
 
@@ -263,27 +267,23 @@ def classify(sigma, config=None):
     raw_pts, moll_pts, near = _classification_points(sigma, config)
     mollifier = None
     if sigma.smooth:
-        probe = subsample(raw_pts, config.derivative_probes)
-        holo_pts = subsample(raw_pts, config.holomorphy_probes)
+        probe = subsample(raw_pts, DERIVATIVE_PROBES)
+        holo_pts = subsample(raw_pts, HOLOMORPHY_PROBES)
         fit_pts = raw_pts
     else:
-        mollifier = _smoothed(sigma, config)
-        probe = subsample(moll_pts, config.derivative_probes)
+        mollifier = _smoothed(sigma)
+        probe = subsample(moll_pts, DERIVATIVE_PROBES)
         if near.size:
-            near_probe = subsample(near, config.near_cut_probes)
+            near_probe = subsample(near, NEAR_CUT_PROBES)
             probe = np.concatenate([probe, near_probe])
         holo_pts = probe
         fit_pts = np.concatenate([subsample(moll_pts, 800), near]) if near.size else subsample(moll_pts, 800)
 
-    found, order, poly_res = detect_polyharmonic(
-        sigma, config.max_order, probe, config.tol, mollifier=mollifier
-    )
+    found, order, poly_res = detect_polyharmonic(sigma, MAX_ORDER, probe, config.tol, mollifier=mollifier)
     d_res, dbar_res = _directional_residuals(sigma, holo_pts, mollifier)
-    dir_scale = max(d_res, dbar_res, 1.0)
-    holomorphic = dbar_res <= config.tol * dir_scale
-    antiholomorphic = d_res <= config.tol * dir_scale
+    holomorphic, antiholomorphic = _holomorphy_flags(d_res, dbar_res, config.tol)
     poly_found, poly_degree, fit_res, deriv_res = detect_polynomial(
-        sigma, config.max_degree, fit_pts, config.tol, mollifier=mollifier, deriv_points=subsample(probe, 60)
+        sigma, MAX_DEGREE, fit_pts, config.tol, mollifier=mollifier, deriv_points=subsample(probe, 60)
     )
 
     evidence = {

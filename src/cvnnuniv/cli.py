@@ -2,7 +2,7 @@
 
 Every run is reproducible: all randomness flows from one seed (flag, config
 file, or the CVNN_SEED environment variable, in that order of precedence),
-and reports embed the full configuration echo plus the library version.
+and reports echo every settable configuration field plus the library version.
 Exit codes: 0 success, 1 verdict failure (e.g. synthesis refused), 2 usage or unwritable output.
 """
 
@@ -178,7 +178,7 @@ def _cmd_approximate(args):
     sigma = by_name(args.activation)
     target = resolve_target(args.target)
     radius = args.radius if args.radius is not None else 1.0
-    overrides = {"seed": args.seed, "override_verdict": bool(args.override)}
+    overrides = {"seed": args.seed}
     if args.eps is not None:
         overrides["relu_eps"] = args.eps
     config = ConstructorConfig(**overrides)

@@ -13,13 +13,14 @@ real one-hidden-layer fit.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import math
 import time
 
 import numpy as np
 
-from . import __version__
+from . import __version__, targets
 from .classifier import YES, ClassifierConfig, classify, monomial_design
 from .errors import (
     IllConditionedBasisError,
@@ -44,6 +45,24 @@ JET_LIMIT = 7
 # mollifier used when extraction must cross a non-smooth set
 SYNTH_MOLLIFIER_EPS = 0.05
 SYNTH_MOLLIFIER_Q = 12
+# fixed numerical policy; the certificate's version pins it
+FIT_POINTS_PER_AXIS = 32
+TEST_POINTS_PER_AXIS = 65
+SEARCH_POINTS_PER_AXIS = 15
+COEFF_THRESHOLD = 1e-8
+REAL_STAGE_WIDTH = 320
+PSI_WIDTH = 160
+RIDGE_FIT_POINTS = 4000
+DEEP_RELU_EPS = 0.15
+DEEP_RIDGE_WIDTH = 16
+
+
+def fd_step_for(total_order):
+    """Divided-difference step in the dilation parameter for a monomial of total order ``total_order``.
+
+    Both the active-point search and the monomial extraction read it, so the two always use the same stencil.
+    """
+    return 0.01 if total_order <= 4 else 0.015
 
 
 @dataclasses.dataclass(frozen=True)
@@ -64,34 +83,10 @@ class MonomialRequest:
 
 @dataclasses.dataclass(frozen=True)
 class ConstructorConfig:
-    """Numerical policy for the synthesis routines; echoed into every certificate.
-
-    ``fd_step`` is the divided-difference step in the dilation parameter for
-    monomials of total order up to 4, ``fd_step_high`` the step for orders 5
-    to 7 (see :meth:`fd_step_for`).  Both the active-point search and the
-    monomial extraction read them, so the two always use the same stencil.
-    """
+    """Settable policy for the synthesis routines; echoed into every certificate."""
 
     seed: int = 0
-    fit_points_per_axis: int = 32
-    test_points_per_axis: int = 65
-    search_points_per_axis: int = 15
-    search_radius: float = 1.0
-    fd_step: float = 0.01
-    fd_step_high: float = 0.015
-    coeff_threshold: float = 1e-8
-    real_stage_width: int = 320
-    psi_width: int = 160
-    ridge_bias_scale: float = 1.0
-    ridge_fit_points: int = 4000
     relu_eps: float = 0.1
-    deep_relu_eps: float = 0.15
-    deep_ridge_width: int = 16
-    override_verdict: bool = False
-
-    def fd_step_for(self, total_order):
-        """Divided-difference step for a monomial of total order ``total_order``."""
-        return self.fd_step if total_order <= 4 else self.fd_step_high
 
     def echo(self):
         return dataclasses.asdict(self)
@@ -226,24 +221,29 @@ def find_active_point(sigma, m, ell, search_grid, fd_step):
     return complex(cand[best]), float(mags[best])
 
 
-def fit_poly_coeffs(target, fit_grid, degree, total_degree=False, weights=None):
-    """Least-squares coefficients c_{m,l} of target in the monomials z^m zbar^l.
-
-    The box basis 0 <= m, l <= degree is used unless ``total_degree`` is set
-    (m + l <= degree).  Monomials are evaluated on radius-normalized
-    coordinates for conditioning and the coefficients rescaled afterwards.
-    Optional positive ``weights`` reweight the grid points.
-    """
+def _poly_basis(fit_grid, degree, total_degree):
+    """(points, radius, design, powers): monomials on radius-normalized coordinates of the fit grid."""
     pts = fit_grid.scalars if isinstance(fit_grid, Grid) else np.asarray(fit_grid, complex).ravel()
     radius = max(1.0, float(np.max(np.abs(pts))))
     design, powers = monomial_design(pts / radius, degree, total_degree)
     if pts.size < len(powers):
         raise ValueError("fit grid has fewer points than basis functions")
-    fvals = np.asarray(target(pts), dtype=complex)
-    if weights is not None:
-        root = np.sqrt(np.asarray(weights, dtype=float))
-        design = design * root[:, None]
-        fvals = fvals * root
+    return pts, radius, design, powers
+
+
+def fit_poly_coeffs(target, fit_grid, degree, total_degree=False):
+    """Least-squares coefficients c_{m,l} of target in the monomials z^m zbar^l.
+
+    The box basis 0 <= m, l <= degree is used unless ``total_degree`` is set
+    (m + l <= degree).  Monomials are evaluated on radius-normalized
+    coordinates for conditioning and the coefficients rescaled afterwards.
+    """
+    pts, radius, design, powers = _poly_basis(fit_grid, degree, total_degree)
+    return _poly_solve(design, np.asarray(target(pts), dtype=complex), powers, radius)
+
+
+def _poly_solve(design, fvals, powers, radius):
+    """Column-scaled least squares of ``fvals`` in the radius-normalized monomial ``design``."""
     col_norms = np.linalg.norm(design, axis=0)
     design_scaled = design / col_norms
     coef, _, rank, svals = np.linalg.lstsq(design_scaled, fvals, rcond=None)
@@ -276,7 +276,7 @@ def _lawson(weighted_fit, residual, n, passes):
 
 def _sup_oriented_fit(target, fit_grid, degree, iterations=14):
     """Total-degree fit with Lawson reweighting, keeping the best sup residual."""
-    pts = fit_grid.scalars if isinstance(fit_grid, Grid) else np.asarray(fit_grid, complex).ravel()
+    pts, radius, design, powers = _poly_basis(fit_grid, degree, True)
     fvals = np.asarray(target(pts), dtype=complex)
 
     def residual(coeffs):
@@ -286,7 +286,8 @@ def _sup_oriented_fit(target, fit_grid, degree, iterations=14):
         return np.abs(fvals - approx)
 
     def weighted_fit(w):
-        return fit_poly_coeffs(target, fit_grid, degree, total_degree=True, weights=w)
+        root = np.sqrt(w)
+        return _poly_solve(design * root[:, None], fvals * root, powers, radius)
 
     return _lawson(weighted_fit, residual, pts.size, iterations)
 
@@ -301,12 +302,12 @@ def _rescale_shallow(net_u, center, radius):
 def _certificate(net, sigma, target, center, radius, d, config, t0, target_name, echo, stage_errors, failures=()):
     """Errors of ``net`` against ``target`` on a held-out regular grid of the domain ball.
 
-    The grid has ``config.test_points_per_axis`` points per axis on a disc and
+    The grid has ``TEST_POINTS_PER_AXIS`` points per axis on a disc and
     7 per real axis when d > 1.
     """
     shallow = isinstance(net, ShallowNetwork)
     evaluate = eval_shallow if shallow else eval_network
-    test_grid = make_grid(center, radius, config.test_points_per_axis if d == 1 else 7)
+    test_grid = make_grid(center, radius, TEST_POINTS_PER_AXIS if d == 1 else 7)
     pts = test_grid.scalars if d == 1 else test_grid.points
     err = np.abs(np.asarray(target(pts)) - np.asarray(evaluate(net, sigma, pts)))
     return ApproximationCertificate(
@@ -325,8 +326,6 @@ def _certificate(net, sigma, target, center, radius, d, config, t0, target_name,
 
 
 def _require_verdict(sigma, field, config):
-    if config.override_verdict:
-        return
     report = classify(sigma, ClassifierConfig(seed=config.seed))
     if getattr(report, field) != YES:
         raise SynthesisRefusedError(
@@ -350,22 +349,22 @@ def synthesize_shallow(sigma, target, domain, degree, config=None, target_name="
         _require_verdict(sigma, "shallow_universal", config)
     t0 = time.time()
 
-    fit_grid = make_grid(0.0, 1.0, config.fit_points_per_axis, staggered=True)
+    fit_grid = make_grid(0.0, 1.0, FIT_POINTS_PER_AXIS, staggered=True)
 
     def target_u(u):
         return target(center + radius * u)
 
     coeffs, fit_sup = _sup_oriented_fit(target_u, fit_grid, degree)
-    search = _search_grid(sigma, config)
+    search = _search_grid(sigma)
 
     parts = []
     failures = []
     constant = coeffs.pop((0, 0), 0.0)
     for (m, ell), c in sorted(coeffs.items()):
-        if abs(c) <= config.coeff_threshold:
+        if abs(c) <= COEFF_THRESHOLD:
             continue
         try:
-            parts.append(_extract_at_active_point(sigma, m, ell, search, config).scaled(c))
+            parts.append(_extract_at_active_point(sigma, m, ell, search).scaled(c))
         except (NoActivePointError, InactiveExpansionPointError) as exc:
             failures.append(f"({m},{ell}): {exc}")
     net_u = concat_shallow(parts + [ShallowNetwork(c=constant, terms=())]) if parts else ShallowNetwork(
@@ -378,22 +377,22 @@ def synthesize_shallow(sigma, target, domain, degree, config=None, target_name="
     return net, cert
 
 
-def _extract_at_active_point(sigma, m, ell, search, config):
+def _extract_at_active_point(sigma, m, ell, search):
     """z^m zbar^l extracted at the most active point of ``search``; search and extraction share one step."""
-    step = config.fd_step_for(m + ell)
+    step = fd_step_for(m + ell)
     theta, _ = find_active_point(sigma, m, ell, search, step)
     return extract_monomial(sigma, MonomialRequest(m=m, ell=ell, theta=theta, fd_step=step))
 
 
-def _extract_real_part(sigma, config, search):
+def _extract_real_part(sigma, search):
     """Shallow net ~ Re u on the unit ball: (id + conj)/2 by degree-1 extraction."""
     parts = []
     for m, ell in ((1, 0), (0, 1)):
-        parts.append(_extract_at_active_point(sigma, m, ell, search, config).scaled(0.5))
+        parts.append(_extract_at_active_point(sigma, m, ell, search).scaled(0.5))
     return concat_shallow(parts)
 
 
-def _extract_identity(sigma, config, search):
+def _extract_identity(sigma, search):
     """Shallow net ~ u on the unit ball, from whichever degree-1 jet is active.
 
     On real inputs z and conj(z) agree, which is where the identity padding
@@ -401,7 +400,7 @@ def _extract_identity(sigma, config, search):
     """
     for m, ell in ((1, 0), (0, 1)):
         try:
-            return _extract_at_active_point(sigma, m, ell, search, config)
+            return _extract_at_active_point(sigma, m, ell, search)
         except (NoActivePointError, InactiveExpansionPointError):
             continue
     raise NoActivePointError("no active point found")
@@ -413,8 +412,8 @@ def _scale_output(theta, factor):
     return NetworkWeights(theta.layers[:-1] + ((factor * a, factor * b),))
 
 
-def _search_grid(sigma, config):
-    return make_grid(0.0, config.search_radius, config.search_points_per_axis, avoid=_cuts(sigma), guard=0.25)
+def _search_grid(sigma):
+    return make_grid(0.0, 1.0, SEARCH_POINTS_PER_AXIS, avoid=_cuts(sigma), guard=0.25)
 
 
 def _chebyshev_relu(r, budget, max_degree=JET_LIMIT - 1):
@@ -448,14 +447,13 @@ def build_relu_c(sigma, r, eps, config=None, gate=True):
     [-r, r]; the outer stage evaluates p(Re w), whose expansion in w, wbar is
     exact, through monomial extraction on the ball of radius r + 1.
     """
-    config = config or ConstructorConfig()
     if gate:
-        _require_verdict(sigma, "deep_universal", config)
+        _require_verdict(sigma, "deep_universal", config or ConstructorConfig())
     r = float(r)
-    search = _search_grid(sigma, config)
+    search = _search_grid(sigma)
 
     # inner stage: Psi ~ Re z on B_r, built on u = z / r
-    psi_u = _extract_real_part(sigma, config, search)
+    psi_u = _extract_real_part(sigma, search)
     psi = _rescale_shallow(psi_u.scaled(r), 0.0, r)
 
     # outer stage: Phi ~ p(Re w) on B_{r+1}
@@ -469,7 +467,7 @@ def build_relu_c(sigma, r, eps, config=None, gate=True):
             continue
         for j in range(k + 1):
             c = a_k * math.comb(k, j) * 2.0 ** (-k) * outer_radius**k
-            parts.append(_extract_at_active_point(sigma, j, k - j, search, config).scaled(c))
+            parts.append(_extract_at_active_point(sigma, j, k - j, search).scaled(c))
     phi_u = concat_shallow(parts + [ShallowNetwork(c=constant, terms=())])
     phi = _rescale_shallow(phi_u, 0.0, outer_radius)
 
@@ -491,14 +489,14 @@ def _passthrough_net():
     return NetworkWeights((([[1.0]], [0.0]), ([[1.0]], [0.0])))
 
 
-def _relu_surrogate(sigma, radius, eps, config, gate):
+def _relu_surrogate(sigma, radius, eps):
     """Depth-2 approximation of max(0, Re z), exact for self-composing activations."""
     if _is_exact_relu_composer(sigma):
         return compose(_passthrough_net(), _passthrough_net()), True
-    return build_relu_c(sigma, radius, eps, config, gate=gate), False
+    return build_relu_c(sigma, radius, eps, gate=False), False
 
 
-def pad_with_identity(net, sigma, extra_layers, radius, config=None, exact_composer=False):
+def pad_with_identity(net, sigma, extra_layers, radius, exact_composer=False):
     """Deepen ``net`` by composing near-identity single layers onto its output.
 
     For activations whose self-composition is exactly max(0, Re z) the padding
@@ -506,26 +504,24 @@ def pad_with_identity(net, sigma, extra_layers, radius, config=None, exact_compo
     degree-1 monomial network approximating the identity on the ball covering
     the output range.
     """
-    config = config or ConstructorConfig()
     if extra_layers <= 0:
         return net
     if exact_composer:
         pad = _passthrough_net()
     else:
-        search = _search_grid(sigma, config)
-        ident_u = _extract_identity(sigma, config, search)
+        ident_u = _extract_identity(sigma, _search_grid(sigma))
         pad = _rescale_shallow(ident_u.scaled(radius), 0.0, radius).to_network()
     for _ in range(extra_layers):
         net = compose(pad, net)
     return net
 
 
-def _ridge_parameters(rng, count, d, radius, bias_scale):
+def _ridge_parameters(rng, count, d, radius):
     g = rng.standard_normal((count, 2 * d))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     scales = rng.uniform(0.5, 2.0, size=count) / max(radius, 1e-9)
     beta = g * scales[:, None]
-    gamma = rng.uniform(-1.0, 1.0, size=count) * bias_scale
+    gamma = rng.uniform(-1.0, 1.0, size=count)
     w = beta[:, :d] - 1j * beta[:, d:]
     return w, gamma
 
@@ -551,7 +547,7 @@ def _ball(domain, d):
     return center, float(radius)
 
 
-def _ridge_stage(target, center, radius, d, width, config, rng):
+def _ridge_stage(target, center, radius, d, width, rng):
     """Seeded real one-hidden-layer ReLU ridge fit of ``target``, shared by deep and lifted synthesis.
 
     Ridge j is max(0, Re(w_j . (z - center)) + gamma_j).  Its pre-activation
@@ -560,10 +556,10 @@ def _ridge_stage(target, center, radius, d, width, config, rng):
     fit points.  Returns (fvals, w, s, bias, scaled_pre, stage1_sup), where
     stage1_sup is the sup residual of the ideal ReLU ridge fit.
     """
-    n_fit = max(config.ridge_fit_points, 5 * width)
+    n_fit = max(RIDGE_FIT_POINTS, 5 * width)
     fit_pts = random_points(center, radius, n_fit, rng, d=d)
     fvals = np.asarray(target(fit_pts), dtype=complex)
-    w, gamma = _ridge_parameters(rng, width, d, radius, config.ridge_bias_scale)
+    w, gamma = _ridge_parameters(rng, width, d, radius)
     pre = (fit_pts - center) @ w.T + gamma
     _, stage1_sup = _refit_design(np.maximum(0.0, pre.real), fvals)
     s = 1.05 * np.maximum(np.max(np.abs(pre), axis=0), 1e-9)
@@ -588,17 +584,18 @@ def synthesize_deep(sigma, target, d, L, domain, config=None, target_name="custo
     t0 = time.time()
     stage_errors = {}
 
-    if target_name == "relu_c" and d == 1:
+    # a timed or traced target is a functools.wraps wrapper of the built-in one
+    if inspect.unwrap(target) is targets.relu_c and d == 1:
         # the target is the pivot function itself: deepen the surrogate only
-        rho_hat, exact = _relu_surrogate(sigma, radius, config.relu_eps, config, gate=False)
-        net = pad_with_identity(rho_hat, sigma, L - 2, radius + 1.0, config, exact_composer=exact)
+        rho_hat, exact = _relu_surrogate(sigma, radius, config.relu_eps)
+        net = pad_with_identity(rho_hat, sigma, L - 2, radius + 1.0, exact_composer=exact)
     else:
         # dense block algebra keeps widths modest: few ridges, lean surrogate
-        rho_hat, exact = _relu_surrogate(sigma, 1.3, config.deep_relu_eps, config, gate=False)
-        rho_deep = pad_with_identity(rho_hat, sigma, L - 2, 1.3, config, exact_composer=exact)
-        width = config.deep_ridge_width if not exact else config.real_stage_width
+        rho_hat, exact = _relu_surrogate(sigma, 1.3, DEEP_RELU_EPS)
+        rho_deep = pad_with_identity(rho_hat, sigma, L - 2, 1.3, exact_composer=exact)
+        width = DEEP_RIDGE_WIDTH if not exact else REAL_STAGE_WIDTH
         rng = np.random.default_rng(config.seed)
-        fvals, w, s, bias, scaled_pre, stage1_sup = _ridge_stage(target, center, radius, d, width, config, rng)
+        fvals, w, s, bias, scaled_pre, stage1_sup = _ridge_stage(target, center, radius, d, width, rng)
         # all ridges share the surrogate: evaluate it once on the stacked pre-activations
         flat = np.asarray(eval_network(rho_deep, sigma, scaled_pre.T.reshape(-1)), dtype=complex)
         features = flat.reshape(width, fvals.size).T * s
@@ -630,17 +627,17 @@ def lift_dimension(sigma, target, domain, d, config=None, target_name="custom", 
 
     # psi ~ max(0, Re zeta) on the unit ball, by seeded random features of sigma
     psi_grid = make_grid(0.0, 1.1, 33, staggered=True)
-    u_k = random_points(0.0, 2.0, config.psi_width, rng)[:, 0]
-    c_k = random_points(0.0, 2.0, config.psi_width, rng)[:, 0]
+    u_k = random_points(0.0, 2.0, PSI_WIDTH, rng)[:, 0]
+    c_k = random_points(0.0, 2.0, PSI_WIDTH, rng)[:, 0]
     feats = sigma.raw(psi_grid.scalars[:, None] * u_k[None, :] + c_k[None, :])
     rho_vals = np.maximum(0.0, psi_grid.scalars.real) + 0j
     alpha, psi_sup = _refit_design(feats, rho_vals)
     psi = ShallowNetwork(
-        c=alpha[0], terms=tuple((alpha[1 + k], [u_k[k]], c_k[k]) for k in range(config.psi_width))
+        c=alpha[0], terms=tuple((alpha[1 + k], [u_k[k]], c_k[k]) for k in range(PSI_WIDTH))
     )
 
-    width = config.real_stage_width
-    fvals, w, s, bias, scaled_pre, stage1_sup = _ridge_stage(target, center, radius, d, width, config, rng)
+    width = REAL_STAGE_WIDTH
+    fvals, w, s, bias, scaled_pre, stage1_sup = _ridge_stage(target, center, radius, d, width, rng)
     # substituted ridge features: s_j * psi((gamma_j + w_j . (z - center)) / s_j)
     psi_w = np.array([t[1][0] for t in psi.terms])
     psi_b = np.array([t[2] for t in psi.terms])
@@ -653,7 +650,7 @@ def lift_dimension(sigma, target, domain, d, config=None, target_name="custom", 
 
     terms = []
     for j in range(width):
-        for k in range(config.psi_width):
+        for k in range(PSI_WIDTH):
             terms.append((coef[1 + j] * s[j] * psi_a[k], (psi_w[k] / s[j]) * w[j], psi_b[k] + psi_w[k] * bias[j]))
     constant = coef[0] + complex(np.sum(coef[1:] * s * psi.c))
     net = ShallowNetwork(c=constant, terms=tuple(terms), input_dim=d)

@@ -174,7 +174,7 @@ def test_criterion_7_deep_relu_synthesis():
     net = build_relu_c(ratio, 2.0, 0.1, cfg, gate=False)
     grid = make_grid(0.0, 2.0, 65)
     err2 = float(np.max(np.abs(eval_network(net, ratio, grid.scalars) - relu_c(grid.scalars))))
-    net3 = pad_with_identity(net, ratio, 1, 3.0, cfg)
+    net3 = pad_with_identity(net, ratio, 1, 3.0)
     err3 = float(np.max(np.abs(eval_network(net3, ratio, grid.scalars) - relu_c(grid.scalars))))
     ok = err2 <= 0.1 and err3 <= 0.2 and net.hidden_layers == 2 and net3.hidden_layers == 3
     _check(ok, f"criterion 7: deep ReLU synthesis, L=2 error {err2:.4f} <= 0.1, L=3 error {err3:.4f} <= 0.2")

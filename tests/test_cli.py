@@ -172,7 +172,7 @@ def test_network_out(tmp_path):
         resolve_target("abs2_target"),
         (0.0, 1.0),
         2,
-        ConstructorConfig(seed=4, override_verdict=True),
+        ConstructorConfig(seed=4),
         target_name="abs2_target",
         gate=False,
     )

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,14 @@ from cvnnuniv.constructor import (
     MonomialRequest,
     build_relu_c,
     extract_monomial,
+    fd_step_for,
     find_active_point,
     fit_poly_coeffs,
     lift_dimension,
     pad_with_identity,
     synthesize_deep,
     synthesize_shallow,
+    _sup_oriented_fit,
     _w_stencil,
 )
 from cvnnuniv.errors import InactiveExpansionPointError, NoActivePointError, SynthesisRefusedError
@@ -42,7 +46,7 @@ def test_monomial_fidelity_ratio_all_orders():
     for total in range(1, 7):
         for m in range(total + 1):
             ell = total - m
-            step = CFG.fd_step_for(total)
+            step = fd_step_for(total)
             theta, _ = find_active_point(RATIO, m, ell, search, step)
             mono = extract_monomial(RATIO, MonomialRequest(m=m, ell=ell, theta=theta, fd_step=step))
             got = eval_shallow(mono, RATIO, UNIT)
@@ -99,7 +103,7 @@ def test_dilation_stencil_matches_jet_entries():
 
     for theta in (0.3 - 0.2j, -0.45 + 0.6j):
         for total in range(JET_LIMIT + 1):
-            step = CFG.fd_step_for(total)
+            step = fd_step_for(total)
             for m in range(total + 1):
                 ell = total - m
                 nodes, coeffs = _w_stencil(m, ell, step)
@@ -205,7 +209,7 @@ def test_build_relu_c_budget():
 
 def test_build_relu_c_padded_depth3():
     net = build_relu_c(RATIO, 2.0, 0.1, CFG, gate=False)
-    net3 = pad_with_identity(net, RATIO, 1, 3.0, CFG)
+    net3 = pad_with_identity(net, RATIO, 1, 3.0)
     assert net3.hidden_layers == 3
     grid = make_grid(0.0, 2.0, 65)
     err = np.abs(eval_network(net3, RATIO, grid.scalars) - relu_c(grid.scalars))
@@ -219,6 +223,29 @@ def test_synthesize_deep_reduces_to_relu_build():
     net3, cert3 = synthesize_deep(RATIO, relu_c, 1, 3, (0.0, 2.0), CFG, target_name="relu_c", gate=False)
     assert net3.hidden_layers == 3
     assert cert3.sup_error <= 0.2
+
+
+def test_synthesize_deep_chooses_path_by_target_not_label():
+    e48 = by_name("example_4_8")
+    _, named = synthesize_deep(e48, cone, 1, 2, (0.0, 1.0), CFG, target_name="cone", gate=False)
+    _, mislabeled = synthesize_deep(e48, cone, 1, 2, (0.0, 1.0), CFG, target_name="relu_c", gate=False)
+    assert (mislabeled.sup_error, mislabeled.network_size) == (named.sup_error, named.network_size)
+    # relu_c under any label, and behind a functools.wraps wrapper, takes the surrogate path
+    _, labeled = synthesize_deep(e48, relu_c, 1, 2, (0.0, 2.0), CFG, target_name="relu_c", gate=False)
+    _, custom = synthesize_deep(e48, functools.wraps(relu_c)(lambda z: relu_c(z)), 1, 2, (0.0, 2.0), CFG, gate=False)
+    assert labeled.network_size == custom.network_size == (2, 2)
+    assert custom.sup_error == labeled.sup_error
+
+
+def test_sup_oriented_fit_evaluates_target_once():
+    calls = []
+
+    def counting_cone(z):
+        calls.append(z.size)
+        return cone(z)
+
+    _sup_oriented_fit(counting_cone, make_grid(0.0, 1.0, 32, staggered=True), 6)
+    assert len(calls) == 1
 
 
 def test_synthesize_deep_generic_path():
