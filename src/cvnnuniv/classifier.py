@@ -45,7 +45,6 @@ HOLOMORPHY_PROBES = 200
 class ClassifierConfig:
     """Settable policy for :func:`classify`; echoed into every report."""
 
-    seed: int = 0
     tol: float = 1e-4
     grid_radius: float = 2.0
 
@@ -101,31 +100,20 @@ def detect_polyharmonic(sigma, max_order, grid, tol, mollifier=None):
     pts = _points_of(grid)
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
-    residuals = []
+    # (orders, step scale): one stencil sampling per group; None is the per-order default step
     if sigma.smooth:
         f = sigma.raw
-        scale = _scale_of(f, pts)
-        for m in range(1, max_order + 1):
-            vals = jet_entries_at(f, pts, [(m, m)])[(m, m)]
-            r = float(np.max(np.abs(4.0**m * vals)) / scale)
-            residuals.append(r)
-            if r < tol:
-                return True, m, residuals
-        return False, None, residuals
-    f = mollifier if mollifier is not None else _smoothed(sigma)
+        groups = [([m], None) for m in range(1, max_order + 1)]
+    else:
+        f = mollifier if mollifier is not None else _smoothed(sigma)
+        groups = [(range(1, min(2, max_order) + 1), 0.01), (range(3, max_order + 1), 0.035)]
     scale = _scale_of(f, pts)
-    # two shared stencil samplings: orders {1, 2} then {3, 4, ...}
-    low = [(m, m) for m in range(1, min(2, max_order) + 1)]
-    vals = jet_entries_at(f, pts, low, step_scale=0.01)
-    for m, _ in low:
-        r = float(np.max(np.abs(4.0**m * vals[(m, m)])) / scale)
-        residuals.append(r)
-        if r < tol:
-            return True, m, residuals
-    if max_order > 2:
-        high = [(m, m) for m in range(3, max_order + 1)]
-        vals = jet_entries_at(f, pts, high, step_scale=0.035)
-        for m, _ in high:
+    residuals = []
+    for orders, step_scale in groups:
+        if not orders:
+            continue
+        vals = jet_entries_at(f, pts, [(m, m) for m in orders], step_scale=step_scale)
+        for m in orders:
             r = float(np.max(np.abs(4.0**m * vals[(m, m)])) / scale)
             residuals.append(r)
             if r < tol:

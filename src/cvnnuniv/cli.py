@@ -16,7 +16,7 @@ import sys
 from . import __version__
 from .activations import activation_names, by_name
 from .classifier import ClassifierConfig, classify
-from .constructor import ConstructorConfig, lift_dimension, synthesize_deep, synthesize_shallow
+from .constructor import ConstructorConfig, lift_dimension, reads_relu_eps, synthesize_deep, synthesize_shallow
 from .errors import CvnnError, SynthesisRefusedError
 from .grids import make_grid
 from .network import save_network
@@ -162,7 +162,7 @@ def _normalize_kind(kind):
 
 def _cmd_classify(args):
     sigma = by_name(args.activation)
-    overrides = {"seed": args.seed}
+    overrides = {}
     if args.tol is not None:
         overrides["tol"] = args.tol
     if args.radius is not None:
@@ -177,6 +177,8 @@ def _cmd_classify(args):
 def _cmd_approximate(args):
     sigma = by_name(args.activation)
     target = resolve_target(args.target)
+    if args.eps is not None and not reads_relu_eps(target, args.dims, args.deep):
+        raise UsageError("--eps sets the ReLU surrogate's budget, read only by --deep --target relu_c with --dims 1")
     radius = args.radius if args.radius is not None else 1.0
     overrides = {"seed": args.seed}
     if args.eps is not None:

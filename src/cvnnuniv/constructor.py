@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from . import __version__, targets
-from .classifier import YES, ClassifierConfig, classify, monomial_design
+from .classifier import YES, classify, monomial_design
 from .errors import (
     IllConditionedBasisError,
     InactiveExpansionPointError,
@@ -32,6 +32,7 @@ from .grids import Grid, cut_distance, make_grid, random_points
 from .network import (
     NetworkWeights,
     ShallowNetwork,
+    _cmul,
     compose,
     concat_shallow,
     eval_network,
@@ -174,15 +175,13 @@ def extract_monomial(sigma, req):
     if abs(rho) < max(1e-8, 100.0 * noise_floor):
         raise InactiveExpansionPointError("inactive expansion point")
     keep = np.abs(coeffs) > 0
-    terms = []
+    nodes, coeffs = nodes[keep], coeffs[keep]
     if use_raw:
-        for w_node, c in zip(nodes[keep], coeffs[keep]):
-            terms.append((c / rho, [w_node], theta))
-    else:
-        for w_node, c in zip(nodes[keep], coeffs[keep]):
-            for delta, weight in zip(moll.offsets, moll.weights):
-                terms.append((weight * c / rho, [w_node], theta - delta))
-    return ShallowNetwork(c=0.0, terms=tuple(terms), input_dim=1)
+        return ShallowNetwork(0.0, coeffs / rho, nodes[:, None], np.full(nodes.size, theta))
+    # neuron (node k, translate q) is sigma(w_k z + theta - delta_q), in node-major order
+    a = (moll.weights[None, :] * coeffs[:, None] / rho).ravel()
+    b = np.tile(theta - moll.offsets, nodes.size)
+    return ShallowNetwork(0.0, a, np.repeat(nodes, moll.offsets.size)[:, None], b)
 
 
 def find_active_point(sigma, m, ell, search_grid, fd_step):
@@ -293,10 +292,16 @@ def _sup_oriented_fit(target, fit_grid, degree, iterations=14):
 
 
 def _rescale_shallow(net_u, center, radius):
-    """Rewrite a unit-ball shallow net in u = (z - center)/radius as a net in z."""
-    center = complex(center)
-    terms = tuple((a, w / radius, b - complex(w[0]) * center / radius) for a, w, b in net_u.terms)
-    return ShallowNetwork(c=net_u.c, terms=terms, input_dim=1)
+    """Rewrite a unit-ball shallow net in u = (z - center)/radius as a net in z.
+
+    The bias shift w * center / radius is rounded as Python's complex
+    arithmetic rounds it: an unfused product, then a division of each part by
+    the real radius (``(re + im * 0.0) / radius``, which keeps the sign of zero
+    as Python does).  ``w / radius`` stays NumPy's complex division.
+    """
+    shift = _cmul(net_u.w[:, 0], complex(center))
+    shift.real, shift.imag = (shift.real + shift.imag * 0.0) / radius, (shift.imag - shift.real * 0.0) / radius
+    return ShallowNetwork(net_u.c, net_u.a, net_u.w / radius, net_u.b - shift)
 
 
 def _certificate(net, sigma, target, center, radius, d, config, t0, target_name, echo, stage_errors, failures=()):
@@ -325,8 +330,8 @@ def _certificate(net, sigma, target, center, radius, d, config, t0, target_name,
     )
 
 
-def _require_verdict(sigma, field, config):
-    report = classify(sigma, ClassifierConfig(seed=config.seed))
+def _require_verdict(sigma, field):
+    report = classify(sigma)
     if getattr(report, field) != YES:
         raise SynthesisRefusedError(
             f"{sigma.name}: {field} verdict is {getattr(report, field)!r}; pass override to force"
@@ -346,7 +351,7 @@ def synthesize_shallow(sigma, target, domain, degree, config=None, target_name="
     center = complex(center)
     radius = float(radius)
     if gate:
-        _require_verdict(sigma, "shallow_universal", config)
+        _require_verdict(sigma, "shallow_universal")
     t0 = time.time()
 
     fit_grid = make_grid(0.0, 1.0, FIT_POINTS_PER_AXIS, staggered=True)
@@ -367,9 +372,7 @@ def synthesize_shallow(sigma, target, domain, degree, config=None, target_name="
             parts.append(_extract_at_active_point(sigma, m, ell, search).scaled(c))
         except (NoActivePointError, InactiveExpansionPointError) as exc:
             failures.append(f"({m},{ell}): {exc}")
-    net_u = concat_shallow(parts + [ShallowNetwork(c=constant, terms=())]) if parts else ShallowNetwork(
-        c=constant, terms=()
-    )
+    net_u = concat_shallow(parts + [ShallowNetwork.constant(constant)]) if parts else ShallowNetwork.constant(constant)
     net = _rescale_shallow(net_u, center, radius)
     echo = {**config.echo(), "degree": degree}
     stage_errors = {"fit_sup_on_fit_grid": fit_sup}
@@ -439,7 +442,7 @@ def _chebyshev_relu(r, budget, max_degree=JET_LIMIT - 1):
     return power.coef, err
 
 
-def build_relu_c(sigma, r, eps, config=None, gate=True):
+def build_relu_c(sigma, r, eps, gate=True):
     """Depth-2 network approximating max(0, Re z) on the ball of radius ``r``.
 
     Composes an inner shallow approximation of Re z with an outer shallow
@@ -448,7 +451,7 @@ def build_relu_c(sigma, r, eps, config=None, gate=True):
     exact, through monomial extraction on the ball of radius r + 1.
     """
     if gate:
-        _require_verdict(sigma, "deep_universal", config or ConstructorConfig())
+        _require_verdict(sigma, "deep_universal")
     r = float(r)
     search = _search_grid(sigma)
 
@@ -468,7 +471,7 @@ def build_relu_c(sigma, r, eps, config=None, gate=True):
         for j in range(k + 1):
             c = a_k * math.comb(k, j) * 2.0 ** (-k) * outer_radius**k
             parts.append(_extract_at_active_point(sigma, j, k - j, search).scaled(c))
-    phi_u = concat_shallow(parts + [ShallowNetwork(c=constant, terms=())])
+    phi_u = concat_shallow(parts + [ShallowNetwork.constant(constant)])
     phi = _rescale_shallow(phi_u, 0.0, outer_radius)
 
     return compose(phi.to_network(), psi.to_network())
@@ -567,6 +570,17 @@ def _ridge_stage(target, center, radius, d, width, rng):
     return fvals, w, s, bias, pre / s, stage1_sup
 
 
+def reads_relu_eps(target, d, deep):
+    """True when synthesis of ``target`` on C^d reads ``ConstructorConfig.relu_eps``.
+
+    Only deep synthesis of max(0, Re z) itself on C^1 does: it builds the ReLU
+    surrogate to that budget and deepens it.  Every other run uses the fixed
+    ``DEEP_RELU_EPS`` surrogate or none.
+    """
+    # a timed or traced target is a functools.wraps wrapper of the built-in one
+    return deep and d == 1 and inspect.unwrap(target) is targets.relu_c
+
+
 def synthesize_deep(sigma, target, d, L, domain, config=None, target_name="custom", gate=True):
     """Network with exactly ``L`` hidden layers approximating ``target`` on a ball.
 
@@ -579,13 +593,12 @@ def synthesize_deep(sigma, target, d, L, domain, config=None, target_name="custo
     if L < 2:
         raise ValueError("deep synthesis needs at least two hidden layers")
     if gate:
-        _require_verdict(sigma, "deep_universal", config)
+        _require_verdict(sigma, "deep_universal")
     center, radius = _ball(domain, d)
     t0 = time.time()
     stage_errors = {}
 
-    # a timed or traced target is a functools.wraps wrapper of the built-in one
-    if inspect.unwrap(target) is targets.relu_c and d == 1:
+    if reads_relu_eps(target, d, deep=True):
         # the target is the pivot function itself: deepen the surrogate only
         rho_hat, exact = _relu_surrogate(sigma, radius, config.relu_eps)
         net = pad_with_identity(rho_hat, sigma, L - 2, radius + 1.0, exact_composer=exact)
@@ -620,7 +633,7 @@ def lift_dimension(sigma, target, domain, d, config=None, target_name="custom", 
     if d < 2:
         raise ValueError("dimension lifting targets d >= 2")
     if gate:
-        _require_verdict(sigma, "shallow_universal", config)
+        _require_verdict(sigma, "shallow_universal")
     center, radius = _ball(domain, d)
     t0 = time.time()
     rng = np.random.default_rng(config.seed)
@@ -632,28 +645,24 @@ def lift_dimension(sigma, target, domain, d, config=None, target_name="custom", 
     feats = sigma.raw(psi_grid.scalars[:, None] * u_k[None, :] + c_k[None, :])
     rho_vals = np.maximum(0.0, psi_grid.scalars.real) + 0j
     alpha, psi_sup = _refit_design(feats, rho_vals)
-    psi = ShallowNetwork(
-        c=alpha[0], terms=tuple((alpha[1 + k], [u_k[k]], c_k[k]) for k in range(PSI_WIDTH))
-    )
+    # psi(zeta) = psi_c + sum_k psi_a[k] sigma(u_k[k] zeta + c_k[k])
+    psi_c, psi_a = complex(alpha[0]), alpha[1:]
 
     width = REAL_STAGE_WIDTH
     fvals, w, s, bias, scaled_pre, stage1_sup = _ridge_stage(target, center, radius, d, width, rng)
     # substituted ridge features: s_j * psi((gamma_j + w_j . (z - center)) / s_j)
-    psi_w = np.array([t[1][0] for t in psi.terms])
-    psi_b = np.array([t[2] for t in psi.terms])
-    psi_a = np.array([t[0] for t in psi.terms])
     features = np.empty((fvals.size, width), dtype=complex)
     for j in range(width):
-        vals = sigma.raw(scaled_pre[:, j : j + 1] * psi_w[None, :] + psi_b[None, :])
-        features[:, j] = s[j] * (vals @ psi_a + psi.c)
+        vals = sigma.raw(scaled_pre[:, j : j + 1] * u_k[None, :] + c_k[None, :])
+        features[:, j] = s[j] * (vals @ psi_a + psi_c)
     coef, refit_sup = _refit_design(features, fvals, lawson=8)
 
-    terms = []
-    for j in range(width):
-        for k in range(PSI_WIDTH):
-            terms.append((coef[1 + j] * s[j] * psi_a[k], (psi_w[k] / s[j]) * w[j], psi_b[k] + psi_w[k] * bias[j]))
-    constant = coef[0] + complex(np.sum(coef[1:] * s * psi.c))
-    net = ShallowNetwork(c=constant, terms=tuple(terms), input_dim=d)
+    # neuron (ridge j, psi neuron k) in ridge-major order; a and b round each product with _cmul
+    a = _cmul(_cmul(coef[1:], s)[:, None], psi_a[None, :]).ravel()
+    w_net = ((u_k[None, :] / s[:, None])[:, :, None] * w[:, None, :]).reshape(-1, d)
+    b = (c_k[None, :] + _cmul(u_k[None, :], np.asarray(bias)[:, None])).ravel()
+    constant = coef[0] + complex(np.sum(coef[1:] * s * psi_c))
+    net = ShallowNetwork(constant, a, w_net, b)
     stage_errors = {"stage1_sup": stage1_sup, "psi_sup": psi_sup, "refit_sup_on_fit_points": refit_sup}
     cert = _certificate(net, sigma, target, center, radius, d, config, t0, target_name, config.echo(), stage_errors)
     return net, cert

@@ -4,7 +4,8 @@ A depth-L network is the weight list ((A_0, b_0), ..., (A_L, b_L)) with
 N_0 = d inputs and N_{L+1} = 1 output; the activation is applied
 componentwise after every layer except the last.  The block constructions
 below (sums, compositions, affine reparametrizations) are exact at the level
-of network functions, no approximation involved.
+of network functions, no approximation involved.  A shallow (depth-1)
+network is also kept as its own arrays, :class:`ShallowNetwork`.
 """
 
 from __future__ import annotations
@@ -60,93 +61,108 @@ class NetworkWeights:
         return int(sum(self.widths))
 
 
+def _batch(z, d):
+    """(batch of shape (n, d), whether ``z`` was one point) for the inputs ``z`` of a d-input network."""
+    z = np.asarray(z, dtype=complex)
+    if z.ndim == 0:
+        return z.reshape(1, 1), True
+    if z.ndim == 1:
+        if d == 1:
+            return z.reshape(-1, 1), False
+        if z.shape[0] != d:
+            raise ValueError(f"point has dimension {z.shape[0]}, network expects {d}")
+        return z.reshape(1, d), True
+    if z.shape[1] != d:
+        raise ValueError(f"batch has dimension {z.shape[1]}, network expects {d}")
+    return z, False
+
+
+def _activate(sigma, pre):
+    """sigma(pre); raises ``ActivationSingularityError`` on a declared singularity or a non-finite value."""
+    try:
+        vals = sigma(pre)
+    except ActivationSingularityError:
+        raise ActivationSingularityError("activation singularity hit") from None
+    if not np.all(np.isfinite(vals)):
+        raise ActivationSingularityError("activation singularity hit")
+    return vals
+
+
 def eval_network(theta, sigma, z):
     """The network function at ``z`` (a point or an (n, d) batch).
 
     Raises ``ActivationSingularityError`` if a pre-activation hits a declared
     singularity of ``sigma``.
     """
-    z = np.asarray(z, dtype=complex)
-    d = theta.input_dim
-    if z.ndim == 0:
-        batch = z.reshape(1, 1)
-        squeeze = "scalar"
-    elif z.ndim == 1:
-        if d == 1:
-            batch = z.reshape(-1, 1)
-            squeeze = "vector"
-        else:
-            if z.shape[0] != d:
-                raise ValueError(f"point has dimension {z.shape[0]}, network expects {d}")
-            batch = z.reshape(1, d)
-            squeeze = "scalar"
-    else:
-        if z.shape[1] != d:
-            raise ValueError(f"batch has dimension {z.shape[1]}, network expects {d}")
-        batch = z
-        squeeze = "none"
-    cur = batch
-    layers = theta.layers
-    for a, b in layers[:-1]:
-        pre = cur @ a.T + b
-        try:
-            cur = sigma(pre)
-        except ActivationSingularityError:
-            raise ActivationSingularityError("activation singularity hit") from None
-        if not np.all(np.isfinite(cur)):
-            raise ActivationSingularityError("activation singularity hit")
-    a, b = layers[-1]
+    cur, point = _batch(z, theta.input_dim)
+    for a, b in theta.layers[:-1]:
+        cur = _activate(sigma, cur @ a.T + b)
+    a, b = theta.layers[-1]
     out = (cur @ a.T + b)[:, 0]
-    if squeeze == "scalar":
-        return complex(out[0])
+    return complex(out[0]) if point else out
+
+
+def _cmul(x, y):
+    """Elementwise complex product rounded like Python's ``complex * complex``.
+
+    NumPy's array multiply may fuse a product and a sum into one FMA; this
+    rounds each of the four real products and both sums separately.
+    """
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex))
+    out = np.empty(x.shape, dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
     return out
 
 
 @dataclasses.dataclass(frozen=True)
 class ShallowNetwork:
-    """One-hidden-layer network c + sum_j a_j sigma(b_j + w_j . z).
+    """One-hidden-layer network z -> c + sum_j a[j] sigma(b[j] + w[j] . z).
 
-    ``terms`` is a sequence of (a_j, w_j, b_j) with w_j a length-d vector.
+    ``a`` and ``b`` have shape (n,) and ``w`` has shape (n, d): neuron j has
+    outer coefficient a[j], inner weights w[j] and bias b[j].  ``c`` is the
+    constant.
     """
 
     c: complex
-    terms: tuple
-    input_dim: int = 1
+    a: np.ndarray
+    w: np.ndarray
+    b: np.ndarray
 
     def __post_init__(self):
-        norm = []
-        for a, w, b in self.terms:
-            w = np.atleast_1d(np.asarray(w, dtype=complex))
-            if w.shape[0] != self.input_dim:
-                raise ValueError("term weight has wrong dimension")
-            norm.append((complex(a), w, complex(b)))
-        object.__setattr__(self, "terms", tuple(norm))
+        a = np.ascontiguousarray(self.a, dtype=complex)
+        w = np.ascontiguousarray(self.w, dtype=complex)
+        b = np.ascontiguousarray(self.b, dtype=complex)
+        if a.ndim != 1 or w.ndim != 2 or w.shape[0] != a.shape[0] or b.shape != a.shape:
+            raise ValueError(f"need a (n,), w (n, d) and b (n,); got {a.shape}, {w.shape} and {b.shape}")
         object.__setattr__(self, "c", complex(self.c))
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "b", b)
+
+    @classmethod
+    def constant(cls, c):
+        """The one-input network with no neurons that computes ``c``."""
+        return cls(c, np.zeros(0), np.zeros((0, 1)), np.zeros(0))
 
     @property
     def width(self):
-        return len(self.terms)
+        return self.a.shape[0]
+
+    @property
+    def input_dim(self):
+        return self.w.shape[1]
 
     def scaled(self, factor):
         factor = complex(factor)
-        return ShallowNetwork(
-            c=factor * self.c,
-            terms=tuple((factor * a, w, b) for a, w, b in self.terms),
-            input_dim=self.input_dim,
-        )
+        return ShallowNetwork(factor * self.c, _cmul(factor, self.a), self.w, self.b)
 
     def to_network(self):
         """The equivalent depth-1 :class:`NetworkWeights` (c goes into the output bias)."""
-        if not self.terms:
-            a0 = np.zeros((1, self.input_dim), dtype=complex)
-            b0 = np.zeros(1, dtype=complex)
-            a1 = np.zeros((1, 1), dtype=complex)
-            return NetworkWeights(((a0, b0), (a1, np.array([self.c]))))
-        a0 = np.stack([w for _, w, _ in self.terms])
-        b0 = np.array([b for _, _, b in self.terms])
-        a1 = np.array([[a for a, _, _ in self.terms]])
-        b1 = np.array([self.c])
-        return NetworkWeights(((a0, b0), (a1, b1)))
+        if not self.width:
+            # one zero neuron: the JSON reader cannot tell the shape of an empty matrix
+            return NetworkWeights(((np.zeros((1, self.input_dim)), np.zeros(1)), (np.zeros((1, 1)), [self.c])))
+        return NetworkWeights(((self.w, self.b), (self.a[None, :], np.array([self.c]))))
 
 
 def concat_shallow(parts):
@@ -154,73 +170,28 @@ def concat_shallow(parts):
     parts = list(parts)
     if not parts:
         raise ValueError("nothing to concatenate")
-    d = parts[0].input_dim
-    if any(p.input_dim != d for p in parts):
+    if any(p.input_dim != parts[0].input_dim for p in parts):
         raise ValueError("input dimensions differ")
-    terms = tuple(t for p in parts for t in p.terms)
-    c = sum(p.c for p in parts)
-    return ShallowNetwork(c=c, terms=terms, input_dim=d)
+    return ShallowNetwork(
+        sum(p.c for p in parts),
+        np.concatenate([p.a for p in parts]),
+        np.concatenate([p.w for p in parts]),
+        np.concatenate([p.b for p in parts]),
+    )
 
 
 def eval_shallow(s, sigma, z):
-    """Evaluate a shallow network directly from its term list."""
-    z = np.asarray(z, dtype=complex)
-    if z.ndim == 0:
-        batch = z.reshape(1, 1)
-        scalar = True
-    elif z.ndim == 1:
-        if s.input_dim == 1:
-            batch = z.reshape(-1, 1)
-            scalar = False
-        else:
-            batch = z.reshape(1, -1)
-            scalar = True
-    else:
-        batch = z
-        scalar = False
+    """Evaluate a shallow network directly from its arrays, without building layers."""
+    batch, point = _batch(z, s.input_dim)
     out = np.full(batch.shape[0], s.c, dtype=complex)
-    if s.terms:
-        w = np.stack([w for _, w, _ in s.terms])
-        b = np.array([b for _, _, b in s.terms])
-        a = np.array([a for a, _, _ in s.terms])
-        pre = batch @ w.T + b
-        try:
-            vals = sigma(pre)
-        except ActivationSingularityError:
-            raise ActivationSingularityError("activation singularity hit") from None
-        if not np.all(np.isfinite(vals)):
-            raise ActivationSingularityError("activation singularity hit")
-        out = out + vals @ a
-    return complex(out[0]) if scalar else out
+    if s.width:
+        out = out + _activate(sigma, batch @ s.w.T + s.b) @ s.a
+    return complex(out[0]) if point else out
 
 
 def linear_combine(t1, t2, alpha, beta):
     """Network computing alpha*Phi + beta*Psi exactly (equal depth and d)."""
-    if t1.input_dim != t2.input_dim:
-        raise ValueError("input dimensions differ")
-    if t1.hidden_layers != t2.hidden_layers:
-        raise ValueError("depths differ")
-    big = len(t1.layers) - 1
-    layers = []
-    for j in range(big + 1):
-        a1, b1 = t1.layers[j]
-        a2, b2 = t2.layers[j]
-        if j == 0:
-            a = np.vstack([a1, a2])
-            b = np.concatenate([b1, b2])
-        elif j == big:
-            a = np.hstack([alpha * a1, beta * a2])
-            b = alpha * b1 + beta * b2
-        else:
-            a = np.block(
-                [
-                    [a1, np.zeros((a1.shape[0], a2.shape[1]), dtype=complex)],
-                    [np.zeros((a2.shape[0], a1.shape[1]), dtype=complex), a2],
-                ]
-            )
-            b = np.concatenate([b1, b2])
-        layers.append((a, b))
-    return NetworkWeights(tuple(layers))
+    return linear_combine_many([t1, t2], [alpha, beta])
 
 
 def linear_combine_many(nets, coeffs, constant=0.0):

@@ -11,7 +11,7 @@ import numpy as np
 
 from cvnnuniv.activations import by_name
 from cvnnuniv.cli import run_cli
-from cvnnuniv.constructor import ConstructorConfig, build_relu_c, pad_with_identity
+from cvnnuniv.constructor import build_relu_c, pad_with_identity
 from cvnnuniv.grids import make_grid, random_points
 from cvnnuniv.network import (
     NetworkWeights,
@@ -170,8 +170,7 @@ def test_criterion_6_constructive_shallow_universality(tmp_path):
 
 def test_criterion_7_deep_relu_synthesis():
     ratio = by_name("ratio")
-    cfg = ConstructorConfig()
-    net = build_relu_c(ratio, 2.0, 0.1, cfg, gate=False)
+    net = build_relu_c(ratio, 2.0, 0.1, gate=False)
     grid = make_grid(0.0, 2.0, 65)
     err2 = float(np.max(np.abs(eval_network(net, ratio, grid.scalars) - relu_c(grid.scalars))))
     net3 = pad_with_identity(net, ratio, 1, 3.0)

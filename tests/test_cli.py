@@ -38,7 +38,8 @@ def test_classify_writes_report(tmp_path):
     assert doc["shallow_universal"] == "no"
     assert doc["deep_universal"] == "no"
     assert doc["version"]
-    assert doc["config_echo"]["seed"] == 0
+    assert doc["cli"]["seed"] == 0
+    assert "seed" not in doc["config_echo"]  # classify draws no random numbers
     assert doc["cli"]["activation"] == "abs2"
 
 
@@ -203,3 +204,22 @@ def test_unwritable_output_exits_2(tmp_path, capsys, monkeypatch):
     assert run_cli(approx + ["--out", str(missing), "--network-out", str(tmp_path / "net.json")]) == 2
     assert not (tmp_path / "cert.json").exists()
     assert not (tmp_path / "net.json").exists()
+
+
+def test_eps_outside_deep_relu_c_exits_2(tmp_path, capsys):
+    # only the deep relu_c surrogate reads --eps; anywhere else it would only change the echo
+    out, net = tmp_path / "cert.json", tmp_path / "net.json"
+    approx = ["approximate", "--activation", "ratio", "--degree", "2", "--eps", "0.5"]
+    runs = (["--target", "cone"], ["--target", "cone", "--deep"], ["--target", "cone", "--dims", "2"])
+    for extra in runs + (["--target", "relu_c"], ["--target", "relu_c", "--deep", "--dims", "2"]):
+        argv = approx + extra + ["--out", str(out), "--network-out", str(net)]
+        assert run_cli(argv) == 2, extra
+        assert "--eps" in capsys.readouterr().err
+        assert not out.exists() and not net.exists()
+
+
+def test_eps_reaches_deep_relu_c(tmp_path):
+    out = tmp_path / "cert.json"
+    argv = ["approximate", "--activation", "ratio", "--target", "relu_c", "--deep", "--eps", "0.5", "--override"]
+    assert run_cli(argv + ["--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config_echo"]["relu_eps"] == 0.5

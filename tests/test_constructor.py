@@ -3,9 +3,13 @@ import functools
 import numpy as np
 import pytest
 
+from cvnnuniv import constructor
 from cvnnuniv.activations import by_name
 from cvnnuniv.constructor import (
     JET_LIMIT,
+    PSI_WIDTH,
+    SYNTH_MOLLIFIER_EPS,
+    SYNTH_MOLLIFIER_Q,
     ConstructorConfig,
     MonomialRequest,
     build_relu_c,
@@ -17,11 +21,12 @@ from cvnnuniv.constructor import (
     pad_with_identity,
     synthesize_deep,
     synthesize_shallow,
+    _rescale_shallow,
     _sup_oriented_fit,
     _w_stencil,
 )
 from cvnnuniv.errors import InactiveExpansionPointError, NoActivePointError, SynthesisRefusedError
-from cvnnuniv.grids import make_grid
+from cvnnuniv.grids import make_grid, random_points
 from cvnnuniv.network import eval_network, eval_shallow
 from cvnnuniv.targets import cone, relu_c, resolve_target, rez
 from cvnnuniv.wirtinger import jet_entries_at, make_mollifier, mollify
@@ -198,7 +203,7 @@ def test_shallow_refusal_gate():
 
 
 def test_build_relu_c_budget():
-    net = build_relu_c(RATIO, 2.0, 0.1, CFG, gate=False)
+    net = build_relu_c(RATIO, 2.0, 0.1, gate=False)
     assert net.hidden_layers == 2
     grid = make_grid(0.0, 2.0, 65)
     err = np.abs(eval_network(net, RATIO, grid.scalars) - relu_c(grid.scalars))
@@ -208,7 +213,7 @@ def test_build_relu_c_budget():
 
 
 def test_build_relu_c_padded_depth3():
-    net = build_relu_c(RATIO, 2.0, 0.1, CFG, gate=False)
+    net = build_relu_c(RATIO, 2.0, 0.1, gate=False)
     net3 = pad_with_identity(net, RATIO, 1, 3.0)
     assert net3.hidden_layers == 3
     grid = make_grid(0.0, 2.0, 65)
@@ -292,3 +297,82 @@ def test_monomial_request_validation():
         MonomialRequest(m=5, ell=5, theta=0.0)
     with pytest.raises(ValueError):
         MonomialRequest(m=-1, ell=0, theta=0.0)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=complex).view(np.uint64)
+
+
+def _assert_same_network(net, a, w, b, c):
+    for got, want in ((net.a, a), (net.w, w), (net.b, b), ([net.c], [c])):
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+def _arrays(terms):
+    """(a, w, b) stacked from per-neuron (a_j, w_j, b_j) tuples."""
+    return [np.array([t[k] for t in terms]) for k in range(3)]
+
+
+def test_shallow_arrays_round_as_the_per_neuron_formulas():
+    # reference: one (a_j, w_j, b_j) per neuron, computed with Python and NumPy scalars
+    def extraction_reference(req, mollified):
+        nodes, coeffs = _w_stencil(req.m, req.ell, req.fd_step)
+        theta = complex(req.theta)
+        moll = make_mollifier(SYNTH_MOLLIFIER_EPS, SYNTH_MOLLIFIER_Q)
+        samples = (mollify(RATIO, moll) if mollified else RATIO)(nodes + theta)
+        rho = complex(np.sum(coeffs * samples))
+        keep = np.abs(coeffs) > 0
+        if mollified:
+            terms = [
+                (weight * c / rho, [w_node], theta - delta)
+                for w_node, c in zip(nodes[keep], coeffs[keep])
+                for delta, weight in zip(moll.offsets, moll.weights)
+            ]
+        else:
+            terms = [(c / rho, [w_node], theta) for w_node, c in zip(nodes[keep], coeffs[keep])]
+        return [(complex(a), np.asarray(w, dtype=complex), complex(b)) for a, w, b in terms]
+
+    for theta, mollified in ((0.3 + 0.2j, False), (0.0, True)):
+        req = MonomialRequest(m=2, ell=1, theta=theta, fd_step=fd_step_for(3))
+        net = extract_monomial(RATIO, req)
+        terms = extraction_reference(req, mollified)
+        assert net.width == len(terms) and (net.width > 1000) == mollified
+        _assert_same_network(net, *_arrays(terms), 0.0)
+
+        factor = 0.7 - 1.3j
+        scaled = [(factor * a, w, b) for a, w, b in terms]
+        _assert_same_network(net.scaled(factor), *_arrays(scaled), factor * 0j)
+
+        center, radius = 0.3 - 0.2j, 1.3
+        moved = [(a, w / radius, b - complex(w[0]) * center / radius) for a, w, b in terms]
+        _assert_same_network(_rescale_shallow(net, center, radius), *_arrays(moved), 0.0)
+
+
+def test_lifted_arrays_round_as_the_per_neuron_formulas(monkeypatch):
+    # record the psi fit, the ridge stage and the refit; the certificate is not needed here
+    seen = {"_refit_design": [], "_ridge_stage": []}
+    for name in seen:
+
+        def record(*args, fn=getattr(constructor, name), name=name, **kwargs):
+            seen[name].append(fn(*args, **kwargs))
+            return seen[name][-1]
+
+        monkeypatch.setattr(constructor, name, record)
+    monkeypatch.setattr(constructor, "_certificate", lambda *args, **kwargs: None)
+    net, _ = lift_dimension(RATIO, rez, (0.0, 1.0), 2, CFG, target_name="rez", gate=False)
+
+    rng = np.random.default_rng(CFG.seed)
+    psi_w = random_points(0.0, 2.0, PSI_WIDTH, rng)[:, 0]
+    psi_b = random_points(0.0, 2.0, PSI_WIDTH, rng)[:, 0]
+    # fits in call order: psi, the ideal ReLU ridges inside _ridge_stage, the substituted refit
+    (alpha, _), _, (coef, _) = seen["_refit_design"]
+    _, w, s, bias, _, _ = seen["_ridge_stage"][0]
+    psi_a, psi_c = alpha[1:], complex(alpha[0])
+    # reference: one (a, w, b) per (ridge j, psi neuron k), with NumPy scalars and length-d arrays
+    terms = [
+        (complex(coef[1 + j] * s[j] * psi_a[k]), (psi_w[k] / s[j]) * w[j], complex(psi_b[k] + psi_w[k] * bias[j]))
+        for j in range(s.size)
+        for k in range(PSI_WIDTH)
+    ]
+    assert net.width == len(terms) == s.size * PSI_WIDTH
+    _assert_same_network(net, *_arrays(terms), coef[0] + complex(np.sum(coef[1:] * s * psi_c)))

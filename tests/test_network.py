@@ -9,6 +9,7 @@ from cvnnuniv.grids import random_points
 from cvnnuniv.network import (
     NetworkWeights,
     ShallowNetwork,
+    _cmul,
     compose,
     concat_shallow,
     eval_network,
@@ -61,20 +62,18 @@ def test_zero_output_matrix_gives_constant():
 
 
 def test_eval_shallow_cases():
-    s = ShallowNetwork(c=0.0, terms=((1.0, [1.0], 0.0),))
+    s = ShallowNetwork(c=0.0, a=[1.0], w=[[1.0]], b=[0.0])
     assert eval_shallow(s, ABS2, 2.0) == pytest.approx(4.0)
-    s = ShallowNetwork(c=5.0, terms=())
+    s = ShallowNetwork.constant(5.0)
     assert eval_shallow(s, ABS2, 1.0 - 1.0j) == pytest.approx(5.0)
-    s = ShallowNetwork(c=0.0, terms=((1.0, [1.0], 0.0), (-1.0, [1.0], 0.0)))
+    s = ShallowNetwork(c=0.0, a=[1.0, -1.0], w=[[1.0], [1.0]], b=[0.0, 0.0])
     assert eval_shallow(s, RATIO, 0.7 + 0.1j) == pytest.approx(0.0)
 
 
 def test_shallow_conversion_matches():
     rng = np.random.default_rng(0)
-    s = ShallowNetwork(
-        c=1.0 - 2.0j,
-        terms=tuple((complex(a), [complex(w)], complex(b)) for a, w, b in rng.standard_normal((4, 3, 2)) @ [1, 1j]),
-    )
+    a, w, b = (rng.standard_normal((4, 3, 2)) @ [1, 1j]).T
+    s = ShallowNetwork(c=1.0 - 2.0j, a=a, w=w[:, None], b=b)
     zs = random_points(0.0, 2.0, 50, rng)[:, 0]
     direct = eval_shallow(s, RATIO, zs)
     via_net = eval_network(s.to_network(), RATIO, zs)
@@ -264,9 +263,29 @@ def test_malformed_network_document_raises_value_error(doc):
 
 
 def test_concat_shallow():
-    s1 = ShallowNetwork(c=1.0, terms=((2.0, [1.0], 0.5),))
-    s2 = ShallowNetwork(c=-0.5j, terms=((1j, [2.0], -0.5),))
+    s1 = ShallowNetwork(c=1.0, a=[2.0], w=[[1.0]], b=[0.5])
+    s2 = ShallowNetwork(c=-0.5j, a=[1j], w=[[2.0]], b=[-0.5])
     s = concat_shallow([s1, s2])
     zs = np.linspace(-1, 1, 7) + 0.2j
     want = eval_shallow(s1, RATIO, zs) + eval_shallow(s2, RATIO, zs)
     assert np.max(np.abs(eval_shallow(s, RATIO, zs) - want)) < 1e-15
+
+
+def test_cmul_rounds_like_python_complex_product():
+    # NumPy's array multiply may fuse into FMA; the shallow-network arithmetic must round as Python does
+    rng = np.random.default_rng(12)
+    for n in (3, 8, 1000):
+        x, y = rng.standard_normal((2, n, 2)) @ [1, 1j] * rng.uniform(0.1, 10.0, (2, n))
+        want = np.array([complex(p) * complex(q) for p, q in zip(x, y)])
+        assert np.array_equal(_cmul(x, y).view(np.uint64), want.view(np.uint64))
+        want = np.array([complex(x[0]) * complex(q) for q in y])
+        assert np.array_equal(_cmul(x[0], y).view(np.uint64), want.view(np.uint64))
+
+
+def test_eval_shallow_checks_the_input_dimension():
+    s = ShallowNetwork(c=0.0, a=[1.0], w=[[1.0, 2.0]], b=[0.0])
+    assert eval_shallow(s, ABS2, [1.0, 0.5j]) == pytest.approx(abs(1.0 + 1.0j) ** 2)
+    with pytest.raises(ValueError):
+        eval_shallow(s, ABS2, [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError):
+        eval_shallow(s, ABS2, np.zeros((4, 3)))

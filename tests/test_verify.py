@@ -50,7 +50,7 @@ def test_abs2_shallow_laplacian_oracle():
     a = random_points(0.0, 2.0, 4, rng)[:, 0]
     w = random_points(0.0, 2.0, 4, rng)[:, 0]
     b = random_points(0.0, 2.0, 4, rng)[:, 0]
-    net = ShallowNetwork(c=0.0, terms=tuple((a[j], [w[j]], b[j]) for j in range(4)))
+    net = ShallowNetwork(c=0.0, a=a, w=w[:, None], b=b)
 
     def f(z):
         z = np.asarray(z, dtype=complex)
