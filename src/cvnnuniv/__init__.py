@@ -13,6 +13,7 @@ from .network import (
     eval_shallow,
     lift_affine,
     linear_combine,
+    network_to_json_dict,
     restrict_line,
 )
 from .wirtinger import MollifierSpec, laplacian_power, make_mollifier, mollify, wirtinger_jet
@@ -36,6 +37,7 @@ __all__ = [
     "make_grid",
     "make_mollifier",
     "mollify",
+    "network_to_json_dict",
     "restrict_line",
     "wirtinger_jet",
     "__version__",

@@ -18,6 +18,10 @@ import numpy as np
 from .errors import ActivationSingularityError
 
 FORMAT_TAG = "cvnn-network/1"
+# entries of the widest layer per row block of an evaluation: about 16 MB per complex array
+CHUNK_ENTRIES = 1 << 20
+# entries per piece of network JSON: each piece's lists are freed before the cyclic GC has many to scan
+JSON_CHUNK_ENTRIES = 1 << 14
 
 
 @dataclasses.dataclass(frozen=True)
@@ -88,18 +92,48 @@ def _activate(sigma, pre):
     return vals
 
 
+def _row_chunks(n, width):
+    """Row slices of an n-row batch, each about ``CHUNK_ENTRIES`` entries of a ``width``-wide layer.
+
+    No slice has one row when n > 1: NumPy sends a one-row product to gemv or
+    dot, which sum in another order than the gemm of a taller block.  Blocks
+    of two rows or more leave every row's K-loop, and so every bit, as is.
+    """
+    step = max(2, CHUNK_ENTRIES // max(width, 1))
+    stops = [*range(step, n - 1, step), n]
+    return [slice(lo, hi) for lo, hi in zip([0, *stops], stops)]
+
+
+def _blockwise(z, d, width, evaluate):
+    """``evaluate`` on row blocks of the inputs ``z`` of a d-input network, into one output.
+
+    A lone point is evaluated as a two-row block of itself, so that it gets
+    the value it would get inside a batch.
+    """
+    batch, point = _batch(z, d)
+    n = batch.shape[0]
+    if n == 1:
+        batch = np.repeat(batch, 2, axis=0)
+    out = np.empty(batch.shape[0], dtype=complex)
+    for rows in _row_chunks(batch.shape[0], width):
+        out[rows] = evaluate(batch[rows])
+    return complex(out[0]) if point else out[:n]
+
+
 def eval_network(theta, sigma, z):
-    """The network function at ``z`` (a point or an (n, d) batch).
+    """The network function at ``z`` (a point or an (n, d) batch), in row blocks.
 
     Raises ``ActivationSingularityError`` if a pre-activation hits a declared
     singularity of ``sigma``.
     """
-    cur, point = _batch(z, theta.input_dim)
-    for a, b in theta.layers[:-1]:
-        cur = _activate(sigma, cur @ a.T + b)
-    a, b = theta.layers[-1]
-    out = (cur @ a.T + b)[:, 0]
-    return complex(out[0]) if point else out
+
+    def evaluate(cur):
+        for a, b in theta.layers[:-1]:
+            cur = _activate(sigma, cur @ a.T + b)
+        a, b = theta.layers[-1]
+        return (cur @ a.T + b)[:, 0]
+
+    return _blockwise(z, theta.input_dim, max(theta.input_dim, *theta.widths), evaluate)
 
 
 def _cmul(x, y):
@@ -181,12 +215,15 @@ def concat_shallow(parts):
 
 
 def eval_shallow(s, sigma, z):
-    """Evaluate a shallow network directly from its arrays, without building layers."""
-    batch, point = _batch(z, s.input_dim)
-    out = np.full(batch.shape[0], s.c, dtype=complex)
-    if s.width:
-        out = out + _activate(sigma, batch @ s.w.T + s.b) @ s.a
-    return complex(out[0]) if point else out
+    """Evaluate a shallow network directly from its arrays, in row blocks, without building layers."""
+
+    def evaluate(batch):
+        out = np.full(batch.shape[0], s.c, dtype=complex)
+        if s.width:
+            out = out + _activate(sigma, batch @ s.w.T + s.b) @ s.a
+        return out
+
+    return _blockwise(z, s.input_dim, max(s.input_dim, s.width), evaluate)
 
 
 def linear_combine(t1, t2, alpha, beta):
@@ -297,10 +334,53 @@ def network_from_json_dict(doc):
     return theta
 
 
+_ZERO_PAIR = json.dumps([0.0, 0.0])
+
+
+def _nonzero(x):
+    """Per entry of ``x``, whether any bit of its two doubles is set (-0.0 is not zero)."""
+    return np.ascontiguousarray(x).view(np.uint64).reshape(*x.shape, 2).any(axis=-1)
+
+
+def _row_json(row):
+    """``json.dumps(_pairs(row))``, with each run of exact +0.0+0.0j entries written as one joined string."""
+    zero = ~_nonzero(row)
+    bounds = [0, *(np.flatnonzero(np.diff(zero)) + 1).tolist(), zero.size]
+    runs = [
+        ", ".join([_ZERO_PAIR] * (hi - lo)) if zero[lo] else json.dumps(_pairs(row[lo:hi]))[1:-1]
+        for lo, hi in zip(bounds, bounds[1:])
+        if hi > lo
+    ]
+    return "[" + ", ".join(runs) + "]"
+
+
+def _rows_json(a):
+    """``json.dumps(_pairs(a))[1:-1]`` in pieces of at most ``JSON_CHUNK_ENTRIES`` entries each.
+
+    A block of rows without an exact zero goes through one ``json.dumps``;
+    other blocks go row by row through :func:`_row_json`.
+    """
+    step = max(1, JSON_CHUNK_ENTRIES // max(a.shape[1], 1))
+    for lo in range(0, a.shape[0], step):
+        block = a[lo : lo + step]
+        yield json.dumps(_pairs(block))[1:-1] if _nonzero(block).all() else ", ".join(map(_row_json, block))
+
+
 def save_network(theta, path):
-    """Write ``theta`` with one ``json.dumps``, the C encoder; ``json.dump`` runs pure Python."""
+    """Write the bytes of ``json.dumps(network_to_json_dict(theta))``, a few matrix rows at a time.
+
+    Rows go through the C encoder in short-lived lists, so neither the whole
+    document nor its millions of nested lists are ever held at once.
+    """
+    head = json.dumps({"format": FORMAT_TAG, "d": theta.input_dim, "L": theta.hidden_layers, "layers": []})
     with open(path, "w") as fh:
-        fh.write(json.dumps(network_to_json_dict(theta)))
+        fh.write(head[: -len("]}")])
+        for j, (a, b) in enumerate(theta.layers):
+            fh.write(', {"A": [' if j else '{"A": [')
+            for i, rows in enumerate(_rows_json(a)):
+                fh.write((", " if i else "") + rows)
+            fh.write('], "b": ' + _row_json(b) + "}")
+        fh.write("]}")
 
 
 def load_network(path):

@@ -1,8 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from cvnnuniv import network
 from cvnnuniv.activations import by_name
 from cvnnuniv.errors import ActivationSingularityError
 from cvnnuniv.grids import random_points
@@ -209,6 +211,24 @@ def test_singularity_error():
         eval_network(net, tanh, 1j * np.pi / 2)
 
 
+def _float_reference(t):
+    # the bytes of the per-entry float() format the writer replaced
+    return json.dumps(
+        {
+            "format": "cvnn-network/1",
+            "d": t.input_dim,
+            "L": t.hidden_layers,
+            "layers": [
+                {
+                    "A": [[[float(v.real), float(v.imag)] for v in row] for row in a],
+                    "b": [[float(v.real), float(v.imag)] for v in b],
+                }
+                for a, b in t.layers
+            ],
+        }
+    ).encode()
+
+
 def test_serialization_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(11)
     layers = [(a.copy(), b.copy()) for a, b in random_net(rng, d=2, hidden=(3, 2), scale=1.7).layers]
@@ -216,22 +236,9 @@ def test_serialization_round_trip_bit_exact(tmp_path):
     layers[0][0].flat[:3] = [complex(*specials[0:2]), complex(*specials[2:4]), complex(*specials[4:6])]
     layers[1][1][0] = complex(specials[5], specials[0])
     t = NetworkWeights(tuple(layers))
-    # the writer's output must stay the bytes of the per-entry float() format it replaced
-    reference = {
-        "format": "cvnn-network/1",
-        "d": 2,
-        "L": 2,
-        "layers": [
-            {
-                "A": [[[float(v.real), float(v.imag)] for v in row] for row in a],
-                "b": [[float(v.real), float(v.imag)] for v in b],
-            }
-            for a, b in t.layers
-        ],
-    }
     path = tmp_path / "net.json"
     save_network(t, path)
-    assert path.read_bytes() == json.dumps(reference).encode()
+    assert path.read_bytes() == _float_reference(t)
     for back in (load_network(path), network_from_json_dict(json.loads(json.dumps(network_to_json_dict(t))))):
         for (a1, b1), (a2, b2) in zip(t.layers, back.layers):
             assert np.array_equal(a1.view(np.uint64), a2.view(np.uint64))
@@ -289,3 +296,115 @@ def test_eval_shallow_checks_the_input_dimension():
         eval_shallow(s, ABS2, [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         eval_shallow(s, ABS2, np.zeros((4, 3)))
+
+
+def _bits(x):
+    return np.atleast_1d(np.asarray(x, dtype=complex)).view(np.uint64)
+
+
+def _one_shot_network(theta, sigma, batch):
+    # the unblocked evaluation: every layer's product over the whole batch at once
+    cur = batch
+    for a, b in theta.layers[:-1]:
+        cur = sigma(cur @ a.T + b)
+    a, b = theta.layers[-1]
+    return (cur @ a.T + b)[:, 0]
+
+
+def _one_shot_shallow(s, sigma, batch):
+    return np.full(batch.shape[0], s.c, dtype=complex) + sigma(batch @ s.w.T + s.b) @ s.a
+
+
+def _shallow_net(rng, d, width, outer_scale=1.0):
+    a, b = (rng.standard_normal((2, width, 2)) @ [1, 1j]) * [[outer_scale], [1.0]]
+    w = rng.standard_normal((width, d, 2)) @ [1, 1j]
+    return ShallowNetwork(c=0.5 - 0.25j, a=a, w=w, b=b)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_one_point_evaluates_as_inside_a_batch(d):
+    # a lone row would go through gemv or dot, which sum in another order than gemm
+    rng = np.random.default_rng(13)
+    s = _shallow_net(rng, d, 300, outer_scale=1e6)
+    deep = random_net(rng, d=d, hidden=(200, 150), scale=30.0)
+    batch = random_points(0.0, 1.5, 40, rng, d=d)
+    for evaluate, net in ((eval_shallow, s), (eval_network, s.to_network()), (eval_network, deep)):
+        inside = evaluate(net, RATIO, batch)
+        for i, z in enumerate(batch):
+            point = z[0] if d == 1 else z
+            alone = evaluate(net, RATIO, point)
+            assert isinstance(alone, complex)
+            assert np.array_equal(_bits(alone), _bits(inside[i]))
+            assert np.array_equal(_bits(evaluate(net, RATIO, batch[i : i + 1])), _bits(inside[i : i + 1]))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_row_blocks_leave_every_bit_unchanged(d, monkeypatch):
+    rng = np.random.default_rng(14)
+    s = _shallow_net(rng, d, 40, outer_scale=1e3)
+    deep = random_net(rng, d=d, hidden=(40, 30), scale=5.0)
+    monkeypatch.setattr(network, "CHUNK_ENTRIES", 7 * 40)
+    step = 7
+    for n in (2, 3, step - 1, step, step + 1, 2 * step + 1, 50):
+        batch = random_points(0.0, 1.5, n, rng, d=d)
+        assert np.array_equal(_bits(eval_shallow(s, RATIO, batch)), _bits(_one_shot_shallow(s, RATIO, batch)))
+        assert np.array_equal(_bits(eval_network(deep, RATIO, batch)), _bits(_one_shot_network(deep, RATIO, batch)))
+        z = batch[:, 0] if d == 1 else batch
+        assert np.array_equal(_bits(eval_network(s.to_network(), RATIO, z)), _bits(eval_shallow(s, RATIO, z)))
+
+
+def test_row_chunks_cover_the_batch_without_one_row_blocks():
+    for width in (1, 3, 1024, 1 << 21):
+        for n in (0, 1, 2, 3, 4, 5, 1023, 1024, 1025, 2049, 2050):
+            chunks = network._row_chunks(n, width)
+            assert chunks[0].start == 0 and chunks[-1].stop == n
+            assert all(p.stop == q.start for p, q in zip(chunks, chunks[1:]))
+            assert n < 2 or min(r.stop - r.start for r in chunks) >= 2
+
+
+def test_evaluation_memory_stays_bounded():
+    rng = np.random.default_rng(15)
+    s = _shallow_net(rng, 1, 2048)
+    zs = random_points(0.0, 1.0, 8000, rng)[:, 0]
+    for evaluate, net in ((eval_shallow, s), (eval_network, s.to_network())):
+        tracemalloc.start()
+        try:
+            evaluate(net, RATIO, zs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole 8000 x 2048 pre-activation alone would take 262 MB
+        assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("piece", [network.JSON_CHUNK_ENTRIES, 5])
+def test_streamed_writer_bytes_around_zero_runs(piece, tmp_path, monkeypatch):
+    # small pieces mix zero-free row blocks, encoded whole, with blocks written row by row
+    monkeypatch.setattr(network, "JSON_CHUNK_ENTRIES", piece)
+    rng = np.random.default_rng(16)
+    nan, inf = float("nan"), float("inf")
+    a1 = rng.standard_normal((7, 9)) + 1j * rng.standard_normal((7, 9))
+    a1[0, :3] = 0  # run at the start of a row
+    a1[1, 3:6] = 0  # in the middle
+    a1[2, 6:] = 0  # at the end
+    a1[3] = 0  # an all-zero row
+    a1[4] = [0, 0, complex(-0.0, 0.0), 0, complex(0.0, -0.0), 0, complex(-0.0, -0.0), 0, 0]
+    a1[5] = [0, complex(nan, 0.0), 0, complex(inf, 0.0), 0, complex(0.0, -inf), 0, complex(nan, nan), 0]
+    a1[6, ::2] = 0
+    out = np.zeros((1, 7), dtype=complex)
+    out[0, 2] = complex(-0.0, 1.5)
+    column = np.array([1 + 1j, nan, complex(0.0, inf), 0, 2, -0.0, 3, nan, 5, 6, -inf])
+    cases = [
+        NetworkWeights(((np.zeros((9, 1)), np.zeros(9)), (a1, np.zeros(7)), (out, [0.0]))),
+        NetworkWeights(((rng.standard_normal((9, 2)), np.zeros(9)), (a1, rng.standard_normal(7)), (out, [-0.0]))),
+        NetworkWeights((([[0.0], [2.0]], [0.0, complex(0.0, -0.0)]), ([[0.0, 0.0]], [0.0]))),
+        # a one-column layer whose -0.0, nan and inf also sit in zero-free row blocks
+        NetworkWeights(((column[:, None], np.ones(11)), (np.ones((1, 11)), [1.0]))),
+    ]
+    for t in cases:
+        path = tmp_path / "net.json"
+        save_network(t, path)
+        assert path.read_bytes() == json.dumps(network_to_json_dict(t)).encode() == _float_reference(t)
+        back = load_network(path)
+        for (a1_, b1_), (a2_, b2_) in zip(t.layers, back.layers):
+            assert np.array_equal(_bits(a1_), _bits(a2_)) and np.array_equal(_bits(b1_), _bits(b2_))
