@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .activations import ActivationSpec, activation_catalog, activation_names, by_name
-from .constructor import fit_poly_coeffs
 from .grids import Grid, make_grid
 from .network import (
     NetworkWeights,
@@ -30,7 +29,6 @@ __all__ = [
     "compose",
     "eval_network",
     "eval_shallow",
-    "fit_poly_coeffs",
     "laplacian_power",
     "lift_affine",
     "linear_combine",

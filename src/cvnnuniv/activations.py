@@ -38,7 +38,6 @@ class ActivationSpec:
     smooth: bool = True
     nonsmooth_set: tuple = ()
     singular_points: tuple = ()
-    annotations: dict = dataclasses.field(default_factory=dict)
 
     def __post_init__(self, fn):
         if fn is None:
@@ -133,7 +132,6 @@ def activation_catalog():
             discontinuity_set=(neg_real,),
             smooth=False,
             nonsmooth_set=(line_cut(0.0, 1.0),),
-            annotations={"deep_universal_override": "yes"},
         ),
         ActivationSpec(
             name="tanh",

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .activations import avoid_set
-from .grids import Grid, cut_distance, make_grid, subsample
+from .grids import cut_distance, make_grid, points_of, random_points, subsample
 from .wirtinger import jet_entries_at, make_mollifier, mollify
 
 YES = "yes"
@@ -76,12 +76,6 @@ class ClassificationReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
-def _points_of(grid):
-    if isinstance(grid, Grid):
-        return grid.scalars
-    return np.asarray(grid, dtype=complex).ravel()
-
-
 def _scale_of(f, pts):
     return max(1.0, float(np.max(np.abs(f(pts)))))
 
@@ -97,7 +91,7 @@ def detect_polyharmonic(sigma, max_order, grid, tol, mollifier=None):
     maximum of |Delta^m| relative to max(1, sup|sigma|); non-smooth
     activations are tested through their mollification.
     """
-    pts = _points_of(grid)
+    pts = points_of(grid)
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
     # (orders, step scale): one stencil sampling per group; None is the per-order default step
@@ -141,7 +135,7 @@ def detect_holomorphy(sigma, grid, tol, mollifier=None):
     Compares the grid maxima of |d sigma| and |dbar sigma| (mollified when
     sigma is not smooth) against ``tol`` relative to max(|d|, |dbar|, 1).
     """
-    pts = _points_of(grid)
+    pts = points_of(grid)
     holo, anti = _holomorphy_flags(*_directional_residuals(sigma, pts, mollifier), tol)
     if holo and not anti:
         return "holomorphic"
@@ -153,15 +147,12 @@ def detect_holomorphy(sigma, grid, tol, mollifier=None):
     return "neither"
 
 
-def monomial_design(u, degree, total_degree=True):
-    """Columns u^m conj(u)^l with m + l <= degree, or the box m, l <= degree.
+def monomial_design(u, degree):
+    """Columns u^m conj(u)^l with m + l <= degree.
 
     Returns (design, powers); column k is the monomial ``powers[k] = (m, l)``.
     """
-    if total_degree:
-        powers = [(m, total - m) for total in range(degree + 1) for m in range(total + 1)]
-    else:
-        powers = [(m, ell) for m in range(degree + 1) for ell in range(degree + 1)]
+    powers = [(m, total - m) for total in range(degree + 1) for m in range(total + 1)]
     return np.stack([u**m * np.conj(u) ** ell for m, ell in powers], axis=1), powers
 
 
@@ -181,12 +172,12 @@ def detect_polynomial(sigma, max_degree, grid, tol, mollifier=None, deriv_points
     ``tol``, and the pure derivatives of order g + 1 vanish.  Returns
     (found, degree_or_None).
     """
-    pts = _points_of(grid)
+    pts = points_of(grid)
     f = sigma.raw if sigma.smooth else (mollifier or _smoothed(sigma))
     fvals = f(pts)
     scale = max(1.0, float(np.max(np.abs(fvals))))
     radius = max(1.0, float(np.max(np.abs(pts))))
-    dpts = subsample(pts, 60) if deriv_points is None else _points_of(deriv_points)
+    dpts = subsample(pts, 60) if deriv_points is None else points_of(deriv_points)
     entries = [(k, 0) for k in range(1, max_degree + 2)] + [(0, k) for k in range(1, max_degree + 2)]
     jets = jet_entries_at(f, dpts, entries, step_scale=0.02)
     fit_residuals = []
@@ -202,6 +193,17 @@ def detect_polynomial(sigma, max_degree, grid, tol, mollifier=None, deriv_points
         if found_degree is None and fit_r < tol and deriv_r < tol:
             found_degree = g
     return found_degree is not None, found_degree, fit_residuals, deriv_residuals
+
+
+def _is_exact_relu_composer(sigma):
+    """True when sigma(sigma(z)) equals max(0, Re z) to round-off everywhere sampled."""
+    pts = random_points(0.0, 3.0, 512, np.random.default_rng(12345))[:, 0]
+    pts = np.concatenate([pts, np.linspace(-3, 3, 33) + 0j])
+    try:
+        vals = sigma(sigma(pts))
+    except Exception:
+        return False
+    return bool(np.max(np.abs(vals - np.maximum(0.0, pts.real))) < 1e-14)
 
 
 def _classification_points(sigma, config):
@@ -234,11 +236,12 @@ def classify(sigma, config=None):
     "no" iff a forbidden class (polynomial / holomorphic / antiholomorphic)
     is found and the activation is continuous up to isolated singular points;
     if it is discontinuous along a curve yet matches a forbidden class on the
-    grid, the verdict is indeterminate unless a catalog annotation resolves
-    it, and ``ae_equal_but_discontinuous`` is set.
+    grid, ``ae_equal_but_discontinuous`` is set and the verdict is "yes" when
+    sigma(sigma(z)) is exactly max(0, Re z) -- two layers then realize the
+    real-part ReLU, which is deep universal -- and indeterminate otherwise.
     """
     config = config or ClassifierConfig()
-    if sigma.annotations.get("not_locally_bounded") or not sigma.locally_bounded:
+    if not sigma.locally_bounded:
         return ClassificationReport(
             activation_name=sigma.name,
             polyharmonic_order=None,
@@ -293,7 +296,7 @@ def classify(sigma, config=None):
         deep = NO
     else:
         ae_flag = True
-        deep = sigma.annotations.get("deep_universal_override", INDETERMINATE)
+        deep = YES if _is_exact_relu_composer(sigma) else INDETERMINATE
 
     return ClassificationReport(
         activation_name=sigma.name,

@@ -1,8 +1,10 @@
 """Batch command-line interface: classify, approximate, invariants, floor.
 
-Every run is reproducible: all randomness flows from one seed (flag, config
-file, or the CVNN_SEED environment variable, in that order of precedence),
-and reports echo every settable configuration field plus the library version.
+Flags are the only input.  Every run is reproducible: all randomness flows
+from ``--seed`` (default 0), and a report echoes the flags of its run under
+``cli`` (classify, which draws no random numbers, leaves out the seed), every
+settable configuration field and the library version.  ``floor`` alone has a
+CSV form (``--format csv``).
 Exit codes: 0 success, 1 verdict failure (e.g. synthesis refused), 2 usage or unwritable output.
 """
 
@@ -28,43 +30,6 @@ class UsageError(Exception):
     pass
 
 
-def _read_config_file(path):
-    values = {}
-    try:
-        with open(path) as fh:
-            for line_no, line in enumerate(fh, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise UsageError(f"{path}:{line_no}: expected 'key = value'")
-                key, raw = (part.strip() for part in line.split("=", 1))
-                values[key.replace("-", "_")] = raw
-    except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}") from None
-    return values
-
-
-def _coerce(raw):
-    for cast in (int, float):
-        try:
-            return cast(raw)
-        except ValueError:
-            continue
-    return raw
-
-
-def _resolve_seed(args, file_values):
-    if args.seed is not None:
-        return int(args.seed)
-    if "seed" in file_values:
-        return int(file_values["seed"])
-    env = os.environ.get("CVNN_SEED")
-    if env is not None:
-        return int(env)
-    return 0
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(prog="cvnnuniv", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -72,10 +37,8 @@ def _build_parser():
 
     def common(p):
         p.add_argument("--activation", required=True, help="activation name from the catalog")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--config", default=None, help="flat key = value config file; flags win")
+        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output path (stdout if omitted)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--radius", type=float, default=None)
 
     p = sub.add_parser("classify", help="universality verdicts for one activation")
@@ -103,35 +66,24 @@ def _build_parser():
     common(p)
     p.add_argument("--target", required=True)
     p.add_argument("--widths", default="50,100,200", help="comma-separated widths")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
 
     return parser
 
 
-def _apply_config_file(args):
-    file_values = {}
-    if args.config:
-        file_values = _read_config_file(args.config)
-        for key, raw in file_values.items():
-            if key == "seed":
-                continue
-            if hasattr(args, key) and getattr(args, key) in (None, False):
-                setattr(args, key, _coerce(raw))
-    args.seed = _resolve_seed(args, file_values)
-    return args
-
-
-def _emit(doc, args, csv_text=None):
-    if args.format == "csv":
-        if csv_text is None:
-            raise UsageError(f"{args.command} has no CSV form")
-        payload = csv_text
-    else:
-        payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
+def _write(payload, path):
+    if path:
+        with open(path, "w") as fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
+
+
+def _emit(doc, args, unread=()):
+    """Write ``doc`` as sorted, indented JSON, with the flags of the run, less ``unread``, under ``cli``."""
+    skip = ("command", "out") + unread
+    doc["cli"] = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+    _write(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
 
 
 def _check_writable(path):
@@ -141,11 +93,6 @@ def _check_writable(path):
         pass
     if not existed:
         os.remove(path)
-
-
-def _cli_echo(args):
-    skip = {"command", "config", "out"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
 def _normalize_kind(kind):
@@ -168,9 +115,8 @@ def _cmd_classify(args):
     if args.radius is not None:
         overrides["grid_radius"] = args.radius
     report = classify(sigma, ClassifierConfig(**overrides))
-    doc = report.to_json_dict()
-    doc["cli"] = _cli_echo(args)
-    _emit(doc, args)
+    # --seed is accepted, as by every subcommand, but classify draws no random numbers
+    _emit(report.to_json_dict(), args, unread=("seed",))
     return 0
 
 
@@ -197,9 +143,7 @@ def _cmd_approximate(args):
         net, cert = synthesize_shallow(
             sigma, target, (0.0, radius), args.degree, config, target_name=args.target, gate=gate
         )
-    doc = cert.to_json_dict()
-    doc["cli"] = _cli_echo(args)
-    _emit(doc, args)
+    _emit(cert.to_json_dict(), args)
     if args.network_out:
         save_network(net if args.deep else net.to_network(), args.network_out)
     return 0
@@ -211,9 +155,7 @@ def _cmd_invariants(args):
     radius = args.radius if args.radius is not None else 1.5
     grid = make_grid(0.0, radius, 17)
     report = check_network_invariant(sigma, args.layers, kind, grid, trials=args.trials, seed=args.seed)
-    doc = report.to_json_dict()
-    doc["cli"] = _cli_echo(args)
-    _emit(doc, args)
+    _emit(report.to_json_dict(), args)
     return 0
 
 
@@ -221,14 +163,15 @@ def _cmd_floor(args):
     sigma = by_name(args.activation)
     target = resolve_target(args.target)
     try:
-        widths = tuple(int(w) for w in str(args.widths).split(",") if w.strip())
+        widths = tuple(int(w) for w in args.widths.split(",") if w.strip())
     except ValueError:
         raise UsageError(f"malformed widths {args.widths!r}") from None
     radius = args.radius if args.radius is not None else 1.0
     table = error_floor_experiment(sigma, target, widths, (0.0, radius), seed=args.seed)
-    doc = table.to_json_dict()
-    doc["cli"] = _cli_echo(args)
-    _emit(doc, args, csv_text=table.to_csv())
+    if args.format == "csv":
+        _write(table.to_csv(), args.out)
+    else:
+        _emit(table.to_json_dict(), args)
     return 0
 
 
@@ -248,7 +191,6 @@ def run_cli(argv):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        args = _apply_config_file(args)
         # an unwritable output fails before any work, and so before any other output is written
         for path in (args.out, getattr(args, "network_out", None)):
             if path:

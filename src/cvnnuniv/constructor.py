@@ -16,19 +16,18 @@ import dataclasses
 import inspect
 import json
 import math
-import time
 
 import numpy as np
 
 from . import __version__, targets
-from .classifier import YES, classify, monomial_design
+from .classifier import YES, _is_exact_relu_composer, classify, monomial_design
 from .errors import (
     IllConditionedBasisError,
     InactiveExpansionPointError,
     NoActivePointError,
     SynthesisRefusedError,
 )
-from .grids import Grid, cut_distance, make_grid, random_points
+from .grids import cut_distance, make_grid, points_of, random_points
 from .network import (
     NetworkWeights,
     ShallowNetwork,
@@ -103,7 +102,6 @@ class ApproximationCertificate:
     sup_error: float
     l1_error: float
     network_size: tuple
-    wall_time: float | None
     seed: int
     config_echo: dict = dataclasses.field(default_factory=dict)
     failures: tuple = ()
@@ -113,8 +111,6 @@ class ApproximationCertificate:
         doc = dataclasses.asdict(self)
         doc["network_size"] = list(self.network_size)
         doc["failures"] = list(self.failures)
-        # timing is environment noise; reports must be byte-identical per seed
-        doc["wall_time"] = None
         doc["version"] = __version__
         return doc
 
@@ -195,7 +191,7 @@ def find_active_point(sigma, m, ell, search_grid, fd_step):
     sits below threshold, which signals that sigma cannot produce this
     monomial.
     """
-    pts = search_grid.scalars if isinstance(search_grid, Grid) else np.asarray(search_grid, complex).ravel()
+    pts = points_of(search_grid)
     nodes, coeffs = _w_stencil(m, ell, fd_step)
     reach = float(np.max(np.abs(nodes))) * 1.1 + 0.02
 
@@ -220,29 +216,23 @@ def find_active_point(sigma, m, ell, search_grid, fd_step):
     return complex(cand[best]), float(mags[best])
 
 
-def _poly_basis(fit_grid, degree, total_degree):
-    """(points, radius, design, powers): monomials on radius-normalized coordinates of the fit grid."""
-    pts = fit_grid.scalars if isinstance(fit_grid, Grid) else np.asarray(fit_grid, complex).ravel()
+def _poly_basis(fit_grid, degree):
+    """(points, radius, design, powers): total-degree monomials on radius-normalized coordinates of the fit grid."""
+    pts = points_of(fit_grid)
     radius = max(1.0, float(np.max(np.abs(pts))))
-    design, powers = monomial_design(pts / radius, degree, total_degree)
+    design, powers = monomial_design(pts / radius, degree)
     if pts.size < len(powers):
         raise ValueError("fit grid has fewer points than basis functions")
     return pts, radius, design, powers
 
 
-def fit_poly_coeffs(target, fit_grid, degree, total_degree=False):
-    """Least-squares coefficients c_{m,l} of target in the monomials z^m zbar^l.
-
-    The box basis 0 <= m, l <= degree is used unless ``total_degree`` is set
-    (m + l <= degree).  Monomials are evaluated on radius-normalized
-    coordinates for conditioning and the coefficients rescaled afterwards.
-    """
-    pts, radius, design, powers = _poly_basis(fit_grid, degree, total_degree)
-    return _poly_solve(design, np.asarray(target(pts), dtype=complex), powers, radius)
-
-
 def _poly_solve(design, fvals, powers, radius):
-    """Column-scaled least squares of ``fvals`` in the radius-normalized monomial ``design``."""
+    """Coefficients c_{m,l} of z^m zbar^l fitting ``fvals``, by column-scaled least squares.
+
+    ``design`` holds the monomials on coordinates divided by ``radius``; the
+    coefficients are rescaled back to z.  Raises ``IllConditionedBasisError``
+    when the design is rank deficient.
+    """
     col_norms = np.linalg.norm(design, axis=0)
     design_scaled = design / col_norms
     coef, _, rank, svals = np.linalg.lstsq(design_scaled, fvals, rcond=None)
@@ -275,7 +265,7 @@ def _lawson(weighted_fit, residual, n, passes):
 
 def _sup_oriented_fit(target, fit_grid, degree, iterations=14):
     """Total-degree fit with Lawson reweighting, keeping the best sup residual."""
-    pts, radius, design, powers = _poly_basis(fit_grid, degree, True)
+    pts, radius, design, powers = _poly_basis(fit_grid, degree)
     fvals = np.asarray(target(pts), dtype=complex)
 
     def residual(coeffs):
@@ -304,7 +294,7 @@ def _rescale_shallow(net_u, center, radius):
     return ShallowNetwork(net_u.c, net_u.a, net_u.w / radius, net_u.b - shift)
 
 
-def _certificate(net, sigma, target, center, radius, d, config, t0, target_name, echo, stage_errors, failures=()):
+def _certificate(net, sigma, target, center, radius, d, config, target_name, echo, stage_errors, failures=()):
     """Errors of ``net`` against ``target`` on a held-out regular grid of the domain ball.
 
     The grid has ``TEST_POINTS_PER_AXIS`` points per axis on a disc and
@@ -322,7 +312,6 @@ def _certificate(net, sigma, target, center, radius, d, config, t0, target_name,
         sup_error=float(np.max(err)),
         l1_error=float(np.mean(err)),
         network_size=(1, net.width) if shallow else (net.hidden_layers, net.total_neurons),
-        wall_time=time.time() - t0,
         seed=config.seed,
         config_echo=echo,
         failures=tuple(failures),
@@ -352,7 +341,6 @@ def synthesize_shallow(sigma, target, domain, degree, config=None, target_name="
     radius = float(radius)
     if gate:
         _require_verdict(sigma, "shallow_universal")
-    t0 = time.time()
 
     fit_grid = make_grid(0.0, 1.0, FIT_POINTS_PER_AXIS, staggered=True)
 
@@ -376,7 +364,7 @@ def synthesize_shallow(sigma, target, domain, degree, config=None, target_name="
     net = _rescale_shallow(net_u, center, radius)
     echo = {**config.echo(), "degree": degree}
     stage_errors = {"fit_sup_on_fit_grid": fit_sup}
-    cert = _certificate(net, sigma, target, center, radius, 1, config, t0, target_name, echo, stage_errors, failures)
+    cert = _certificate(net, sigma, target, center, radius, 1, config, target_name, echo, stage_errors, failures)
     return net, cert
 
 
@@ -475,17 +463,6 @@ def build_relu_c(sigma, r, eps, gate=True):
     phi = _rescale_shallow(phi_u, 0.0, outer_radius)
 
     return compose(phi.to_network(), psi.to_network())
-
-
-def _is_exact_relu_composer(sigma):
-    """True when sigma(sigma(z)) equals max(0, Re z) to round-off everywhere sampled."""
-    pts = random_points(0.0, 3.0, 512, np.random.default_rng(12345))[:, 0]
-    pts = np.concatenate([pts, np.linspace(-3, 3, 33) + 0j])
-    try:
-        vals = sigma(sigma(pts))
-    except Exception:
-        return False
-    return bool(np.max(np.abs(vals - np.maximum(0.0, pts.real))) < 1e-14)
 
 
 def _passthrough_net():
@@ -595,7 +572,6 @@ def synthesize_deep(sigma, target, d, L, domain, config=None, target_name="custo
     if gate:
         _require_verdict(sigma, "deep_universal")
     center, radius = _ball(domain, d)
-    t0 = time.time()
     stage_errors = {}
 
     if reads_relu_eps(target, d, deep=True):
@@ -618,7 +594,7 @@ def synthesize_deep(sigma, target, d, L, domain, config=None, target_name="custo
         net = linear_combine_many(ridge_nets, coef[1:], constant=coef[0])
 
     echo = {**config.echo(), "layers": L}
-    return net, _certificate(net, sigma, target, center, radius, d, config, t0, target_name, echo, stage_errors)
+    return net, _certificate(net, sigma, target, center, radius, d, config, target_name, echo, stage_errors)
 
 
 def lift_dimension(sigma, target, domain, d, config=None, target_name="custom", gate=True):
@@ -635,7 +611,6 @@ def lift_dimension(sigma, target, domain, d, config=None, target_name="custom", 
     if gate:
         _require_verdict(sigma, "shallow_universal")
     center, radius = _ball(domain, d)
-    t0 = time.time()
     rng = np.random.default_rng(config.seed)
 
     # psi ~ max(0, Re zeta) on the unit ball, by seeded random features of sigma
@@ -664,5 +639,5 @@ def lift_dimension(sigma, target, domain, d, config=None, target_name="custom", 
     constant = coef[0] + complex(np.sum(coef[1:] * s * psi_c))
     net = ShallowNetwork(constant, a, w_net, b)
     stage_errors = {"stage1_sup": stage1_sup, "psi_sup": psi_sup, "refit_sup_on_fit_points": refit_sup}
-    cert = _certificate(net, sigma, target, center, radius, d, config, t0, target_name, config.echo(), stage_errors)
+    cert = _certificate(net, sigma, target, center, radius, d, config, target_name, config.echo(), stage_errors)
     return net, cert

@@ -98,6 +98,13 @@ class Grid:
         return self.points[:, 0]
 
 
+def points_of(grid):
+    """The points of a 1-D :class:`Grid`, or of any array of complex points, as a flat complex array."""
+    if isinstance(grid, Grid):
+        return grid.scalars
+    return np.asarray(grid, dtype=complex).ravel()
+
+
 def make_grid(center, radius, points_per_axis, avoid=(), guard=None, staggered=False):
     """Regular tensor grid on the bounding box of a ball, filtered to the ball.
 

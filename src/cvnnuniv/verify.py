@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .classifier import ClassifierConfig
 from .errors import ActivationSingularityError
-from .grids import Grid, make_grid
+from .grids import Grid, make_grid, points_of
 from .network import NetworkWeights
 from .wirtinger import jet_entries_at
 
@@ -174,7 +174,7 @@ def check_network_invariant(sigma, depth, kind, grid, trials=20, seed=0):
     (activation poles, overflowing towers) are skipped and counted.
     """
     entry, factor = _parse_kind(kind)
-    pts = grid.scalars if isinstance(grid, Grid) else np.asarray(grid, complex).ravel()
+    pts = points_of(grid)
     rng = np.random.default_rng(seed)
     worst = 0.0
     skipped = 0

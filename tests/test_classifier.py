@@ -1,3 +1,5 @@
+import numpy as np
+
 from cvnnuniv.activations import ActivationSpec, by_name
 from cvnnuniv.classifier import (
     ClassifierConfig,
@@ -6,7 +8,7 @@ from cvnnuniv.classifier import (
     detect_polyharmonic,
     detect_polynomial,
 )
-from cvnnuniv.grids import make_grid
+from cvnnuniv.grids import line_cut, make_grid, ray_cut
 
 EXPECTED = {
     "ratio": ("yes", "yes"),
@@ -161,11 +163,40 @@ def test_not_locally_bounded_is_indeterminate():
     spec = ActivationSpec(
         name="wild",
         fn=lambda z: z,
-        annotations={"not_locally_bounded": True},
+        locally_bounded=False,
     )
     rep = classify(spec)
     assert rep.shallow_universal == "indeterminate"
     assert rep.deep_universal == "indeterminate"
+
+
+def test_ae_branch_decided_by_relu_composition_witness():
+    # both equal Re z off a cut, so both are a.e. polynomials yet discontinuous: the ae branch decides
+    cut = ray_cut(0.0, -1.0)
+    one_on_cut = ActivationSpec(
+        name="re_or_one",
+        fn=lambda z: np.where((z.imag == 0) & (z.real < 0), 1.0, z.real),
+        continuous=False,
+        discontinuity_set=(cut,),
+        smooth=False,
+        nonsmooth_set=(cut,),
+    )
+    rep = classify(one_on_cut)
+    assert rep.ae_equal_but_discontinuous
+    assert (rep.shallow_universal, rep.deep_universal) == ("no", "indeterminate")
+    # a copy of example_4_8 under another name: sigma(sigma(z)) = max(0, Re z) is the witness for "yes"
+    e48 = by_name("example_4_8")
+    composer = ActivationSpec(
+        name="relu_composer",
+        fn=e48.raw,
+        continuous=False,
+        discontinuity_set=(cut,),
+        smooth=False,
+        nonsmooth_set=(line_cut(0.0, 1.0),),
+    )
+    rep = classify(composer)
+    assert rep.ae_equal_but_discontinuous
+    assert (rep.shallow_universal, rep.deep_universal) == ("no", "yes")
 
 
 def test_report_json_fields(catalog_reports):

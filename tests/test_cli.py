@@ -8,6 +8,7 @@ from cvnnuniv.cli import run_cli
 from cvnnuniv.constructor import ConstructorConfig, synthesize_shallow
 from cvnnuniv.network import load_network
 from cvnnuniv.targets import resolve_target
+from cvnnuniv.verify import error_floor_experiment
 
 
 def test_unknown_activation_exits_2(capsys):
@@ -31,16 +32,17 @@ def test_refused_synthesis_exits_1(capsys):
 
 
 def test_classify_writes_report(tmp_path):
-    out = tmp_path / "report.json"
-    code = run_cli(["classify", "--activation", "abs2", "--out", str(out)])
-    assert code == 0
-    doc = json.loads(out.read_text())
+    outs = [tmp_path / "report1.json", tmp_path / "report2.json"]
+    for seed, out in zip(("1", "2"), outs):
+        assert run_cli(["classify", "--activation", "abs2", "--seed", seed, "--out", str(out)]) == 0
+    doc = json.loads(outs[0].read_text())
     assert doc["shallow_universal"] == "no"
     assert doc["deep_universal"] == "no"
     assert doc["version"]
-    assert doc["cli"]["seed"] == 0
-    assert "seed" not in doc["config_echo"]  # classify draws no random numbers
-    assert doc["cli"]["activation"] == "abs2"
+    # classify draws no random numbers: the seed is neither echoed nor able to change a byte
+    assert "seed" not in doc["cli"] and "seed" not in doc["config_echo"]
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert doc["cli"] == {"activation": "abs2", "radius": None, "tol": None}
 
 
 def test_invariants_subcommand(tmp_path):
@@ -74,38 +76,54 @@ def test_floor_csv_and_json(tmp_path):
     assert code == 0
     lines = csv_out.read_text().strip().split("\n")
     assert lines[0] == "width,sup_error,l1_error"
+    table = error_floor_experiment(by_name("ratio"), resolve_target("cone"), (10, 20), (0.0, 1.0), seed=0)
+    assert csv_out.read_text() == table.to_csv()
     json_out = tmp_path / "floor.json"
     assert run_cli(["floor", "--activation", "ratio", "--target", "cone", "--widths", "10", "--out", str(json_out)]) == 0
     doc = json.loads(json_out.read_text())
     assert doc["rows"][0]["width"] == 10
 
 
-def test_config_file_flags_win(tmp_path):
+# (work function, argv) of each subcommand; every job here must be rejected before its work function runs
+JOBS = (
+    ("classify", ["classify", "--activation", "ratio"]),
+    ("synthesize_shallow", ["approximate", "--activation", "ratio", "--target", "cone", "--override"]),
+    ("check_network_invariant", ["invariants", "--activation", "sin"]),
+    ("error_floor_experiment", ["floor", "--activation", "ratio", "--target", "cone"]),
+)
+
+
+def _no_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the job ran")
+
+    for attr, _ in JOBS:
+        monkeypatch.setattr(cli, attr, refuse)
+
+
+def test_format_csv_only_on_floor_exits_2_before_work(tmp_path, monkeypatch):
+    _no_work(monkeypatch)
+    out = tmp_path / "report.csv"
+    for _, argv in JOBS[:3]:
+        assert run_cli(argv + ["--format", "csv", "--out", str(out)]) == 2, argv
+        assert not out.exists()
+
+
+def test_config_flag_exits_2(tmp_path, monkeypatch):
+    _no_work(monkeypatch)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# settings\nactivation = abs2\nwidths = 10\nseed = 5\n")
-    out = tmp_path / "floor.json"
-    # activation comes from the config file; --widths on the command line wins
-    code = run_cli(
-        ["floor", "--activation", "ratio", "--target", "cone", "--widths", "15", "--config", str(cfg), "--out", str(out)]
-    )
-    assert code == 0
-    doc = json.loads(out.read_text())
-    assert doc["activation_name"] == "ratio"
-    assert doc["rows"][0]["width"] == 15
-    assert doc["cli"]["seed"] == 5  # config seed used since no --seed flag
+    cfg.write_text("widths = 10\nseed = 5\n")
+    out = tmp_path / "report.json"
+    for _, argv in JOBS:
+        assert run_cli(argv + ["--config", str(cfg), "--out", str(out)]) == 2, argv
+        assert not out.exists()
 
 
-def test_env_seed_fallback(tmp_path, monkeypatch):
+def test_env_seed_is_ignored(tmp_path, monkeypatch):
     monkeypatch.setenv("CVNN_SEED", "77")
     out = tmp_path / "floor.json"
     assert run_cli(["floor", "--activation", "ratio", "--target", "cone", "--widths", "10", "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["cli"]["seed"] == 77
-
-
-def test_malformed_config_exits_2(tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("this is not a key value pair\n")
-    assert run_cli(["floor", "--activation", "ratio", "--target", "cone", "--config", str(cfg)]) == 2
+    assert json.loads(out.read_text())["cli"]["seed"] == 0
 
 
 def test_deep_approximate(tmp_path):
