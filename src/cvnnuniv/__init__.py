@@ -6,13 +6,14 @@ from .activations import ActivationSpec, activation_catalog, activation_names, b
 from .grids import Grid, make_grid
 from .network import (
     NetworkWeights,
+    RidgeNetwork,
     ShallowNetwork,
     compose,
     eval_network,
+    eval_ridge,
     eval_shallow,
     lift_affine,
     linear_combine,
-    network_to_json_dict,
     restrict_line,
 )
 from .wirtinger import MollifierSpec, laplacian_power, make_mollifier, mollify, wirtinger_jet
@@ -22,12 +23,14 @@ __all__ = [
     "Grid",
     "MollifierSpec",
     "NetworkWeights",
+    "RidgeNetwork",
     "ShallowNetwork",
     "activation_catalog",
     "activation_names",
     "by_name",
     "compose",
     "eval_network",
+    "eval_ridge",
     "eval_shallow",
     "laplacian_power",
     "lift_affine",
@@ -35,7 +38,6 @@ __all__ = [
     "make_grid",
     "make_mollifier",
     "mollify",
-    "network_to_json_dict",
     "restrict_line",
     "wirtinger_jet",
     "__version__",

@@ -30,14 +30,14 @@ from .errors import (
 from .grids import cut_distance, make_grid, points_of, random_points
 from .network import (
     NetworkWeights,
+    RidgeNetwork,
     ShallowNetwork,
     _cmul,
     compose,
     concat_shallow,
     eval_network,
+    eval_ridge,
     eval_shallow,
-    lift_affine,
-    linear_combine_many,
 )
 from .wirtinger import fd_weights, make_mollifier, mollify, stencil_halfwidth, wirtinger_terms
 
@@ -301,7 +301,7 @@ def _certificate(net, sigma, target, center, radius, d, config, target_name, ech
     7 per real axis when d > 1.
     """
     shallow = isinstance(net, ShallowNetwork)
-    evaluate = eval_shallow if shallow else eval_network
+    evaluate = eval_shallow if shallow else eval_ridge if isinstance(net, RidgeNetwork) else eval_network
     test_grid = make_grid(center, radius, TEST_POINTS_PER_AXIS if d == 1 else 7)
     pts = test_grid.scalars if d == 1 else test_grid.points
     err = np.abs(np.asarray(target(pts)) - np.asarray(evaluate(net, sigma, pts)))
@@ -395,12 +395,6 @@ def _extract_identity(sigma, search):
         except (NoActivePointError, InactiveExpansionPointError):
             continue
     raise NoActivePointError("no active point found")
-
-
-def _scale_output(theta, factor):
-    a, b = theta.layers[-1]
-    factor = complex(factor)
-    return NetworkWeights(theta.layers[:-1] + ((factor * a, factor * b),))
 
 
 def _search_grid(sigma):
@@ -564,7 +558,9 @@ def synthesize_deep(sigma, target, d, L, domain, config=None, target_name="custo
     The depth-2 real-ReLU surrogate (identity-padded up to depth L) is
     substituted into the ridges of a real one-hidden-layer fit of the target;
     output coefficients are then refit against the actual substituted
-    features, which absorbs the surrogate's error.
+    features, which absorbs the surrogate's error.  The result is a
+    :class:`RidgeNetwork` whose trunk is that surrogate, or, when the target
+    is max(0, Re z) itself on C^1, the deepened surrogate alone.
     """
     config = config or ConstructorConfig()
     if L < 2:
@@ -579,7 +575,6 @@ def synthesize_deep(sigma, target, d, L, domain, config=None, target_name="custo
         rho_hat, exact = _relu_surrogate(sigma, radius, config.relu_eps)
         net = pad_with_identity(rho_hat, sigma, L - 2, radius + 1.0, exact_composer=exact)
     else:
-        # dense block algebra keeps widths modest: few ridges, lean surrogate
         rho_hat, exact = _relu_surrogate(sigma, 1.3, DEEP_RELU_EPS)
         rho_deep = pad_with_identity(rho_hat, sigma, L - 2, 1.3, exact_composer=exact)
         width = DEEP_RIDGE_WIDTH if not exact else REAL_STAGE_WIDTH
@@ -590,8 +585,7 @@ def synthesize_deep(sigma, target, d, L, domain, config=None, target_name="custo
         features = flat.reshape(width, fvals.size).T * s
         coef, refit_sup = _refit_design(features, fvals, lawson=4)
         stage_errors = {"stage1_sup": stage1_sup, "refit_sup_on_fit_points": refit_sup}
-        ridge_nets = [_scale_output(lift_affine(rho_deep, w[j] / s[j], bias[j]), s[j]) for j in range(width)]
-        net = linear_combine_many(ridge_nets, coef[1:], constant=coef[0])
+        net = RidgeNetwork(ShallowNetwork(coef[0], coef[1:] * s, w / s[:, None], bias), rho_deep)
 
     echo = {**config.echo(), "layers": L}
     return net, _certificate(net, sigma, target, center, radius, d, config, target_name, echo, stage_errors)

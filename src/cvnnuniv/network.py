@@ -5,7 +5,8 @@ N_0 = d inputs and N_{L+1} = 1 output; the activation is applied
 componentwise after every layer except the last.  The block constructions
 below (sums, compositions, affine reparametrizations) are exact at the level
 of network functions, no approximation involved.  A shallow (depth-1)
-network is also kept as its own arrays, :class:`ShallowNetwork`.
+network is also kept as its own arrays, :class:`ShallowNetwork`, and a
+network of ridges of one shared 1-input trunk as :class:`RidgeNetwork`.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ import numpy as np
 from .errors import ActivationSingularityError
 
 FORMAT_TAG = "cvnn-network/1"
+RIDGE_FORMAT_TAG = "cvnn-network/2"
 # entries of the widest layer per row block of an evaluation: about 16 MB per complex array
 CHUNK_ENTRIES = 1 << 20
-# entries per piece of network JSON: each piece's lists are freed before the cyclic GC has many to scan
-JSON_CHUNK_ENTRIES = 1 << 14
 
 
 @dataclasses.dataclass(frozen=True)
@@ -199,6 +199,31 @@ class ShallowNetwork:
         return NetworkWeights(((self.w, self.b), (self.a[None, :], np.array([self.c]))))
 
 
+@dataclasses.dataclass(frozen=True)
+class RidgeNetwork:
+    """Ridges of one shared 1-input trunk: z -> ridge.c + sum_j ridge.a[j] trunk(ridge.b[j] + ridge.w[j] . z).
+
+    It is the shallow network ``ridge`` with the network function of
+    ``trunk`` as its activation; its depth and neuron count are those of the
+    dense network that copies the trunk once per ridge.
+    """
+
+    ridge: ShallowNetwork
+    trunk: NetworkWeights
+
+    def __post_init__(self):
+        if self.trunk.input_dim != 1:
+            raise ValueError(f"the trunk must take one input, got {self.trunk.input_dim}")
+
+    @property
+    def hidden_layers(self):
+        return self.trunk.hidden_layers
+
+    @property
+    def total_neurons(self):
+        return self.ridge.width * self.trunk.total_neurons
+
+
 def concat_shallow(parts):
     """Sum of shallow networks over a common input dimension."""
     parts = list(parts)
@@ -226,46 +251,32 @@ def eval_shallow(s, sigma, z):
     return _blockwise(z, s.input_dim, max(s.input_dim, s.width), evaluate)
 
 
+def eval_ridge(net, sigma, z):
+    """Evaluate a :class:`RidgeNetwork`: :func:`eval_shallow` of its ridges, the trunk as activation."""
+
+    def trunk(pre):
+        return eval_network(net.trunk, sigma, pre.reshape(-1)).reshape(pre.shape)
+
+    return eval_shallow(net.ridge, trunk, z)
+
+
 def linear_combine(t1, t2, alpha, beta):
-    """Network computing alpha*Phi + beta*Psi exactly (equal depth and d)."""
-    return linear_combine_many([t1, t2], [alpha, beta])
+    """Network computing alpha*Phi + beta*Psi exactly (equal depth and d).
 
-
-def linear_combine_many(nets, coeffs, constant=0.0):
-    """Network computing ``constant + sum_j coeffs[j] * nets[j]`` exactly.
-
-    Iterated pairwise combination in one block construction; all networks
-    must share input dimension and depth.
+    The two networks sit side by side: stacked first layers, block-diagonal
+    middle layers and the scaled output rows next to each other.
     """
-    nets = list(nets)
-    coeffs = [complex(c) for c in coeffs]
-    if not nets or len(nets) != len(coeffs):
-        raise ValueError("need matching nonempty networks and coefficients")
-    d = nets[0].input_dim
-    big = len(nets[0].layers) - 1
-    if any(n.input_dim != d or len(n.layers) - 1 != big for n in nets):
+    if t1.input_dim != t2.input_dim or t1.hidden_layers != t2.hidden_layers:
         raise ValueError("networks must share input dimension and depth")
-    layers = []
-    for j in range(big + 1):
-        mats = [n.layers[j][0] for n in nets]
-        biases = [n.layers[j][1] for n in nets]
-        if j == 0:
-            a = np.vstack(mats)
-            b = np.concatenate(biases)
-        elif j == big:
-            a = np.hstack([c * m for c, m in zip(coeffs, mats)])
-            b = sum(c * v for c, v in zip(coeffs, biases)) + complex(constant)
-        else:
-            rows = sum(m.shape[0] for m in mats)
-            cols = sum(m.shape[1] for m in mats)
-            a = np.zeros((rows, cols), dtype=complex)
-            r = c0 = 0
-            for m in mats:
-                a[r : r + m.shape[0], c0 : c0 + m.shape[1]] = m
-                r += m.shape[0]
-                c0 += m.shape[1]
-            b = np.concatenate(biases)
-        layers.append((a, b))
+    (a1, b1), (a2, b2) = t1.layers[0], t2.layers[0]
+    layers = [(np.vstack([a1, a2]), np.concatenate([b1, b2]))]
+    for (a1, b1), (a2, b2) in zip(t1.layers[1:-1], t2.layers[1:-1]):
+        a = np.zeros((a1.shape[0] + a2.shape[0], a1.shape[1] + a2.shape[1]), dtype=complex)
+        a[: a1.shape[0], : a1.shape[1]] = a1
+        a[a1.shape[0] :, a1.shape[1] :] = a2
+        layers.append((a, np.concatenate([b1, b2])))
+    (a1, b1), (a2, b2) = t1.layers[-1], t2.layers[-1]
+    layers.append((np.hstack([alpha * a1, beta * a2]), alpha * b1 + beta * b2))
     return NetworkWeights(tuple(layers))
 
 
@@ -313,7 +324,7 @@ def _complex_array(pairs, ndim):
 
 
 def network_to_json_dict(theta):
-    """Versioned JSON document; doubles survive a round trip bit-exactly."""
+    """Versioned JSON document of :class:`NetworkWeights`; doubles survive a round trip bit-exactly."""
     return {
         "format": FORMAT_TAG,
         "d": theta.input_dim,
@@ -322,65 +333,46 @@ def network_to_json_dict(theta):
     }
 
 
-def network_from_json_dict(doc):
-    try:
-        if doc["format"] != FORMAT_TAG:
-            raise ValueError(f"unsupported network format {doc['format']!r}")
-        theta = NetworkWeights(tuple((_complex_array(ly["A"], 2), _complex_array(ly["b"], 1)) for ly in doc["layers"]))
-        if (theta.input_dim, theta.hidden_layers) != (doc["d"], doc["L"]):
-            raise ValueError("declared dimensions disagree with the layer shapes")
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed network document: {exc!r}") from None
+def _weights_from_json_dict(doc):
+    if doc["format"] != FORMAT_TAG:
+        raise ValueError(f"unsupported network format {doc['format']!r}")
+    theta = NetworkWeights(tuple((_complex_array(ly["A"], 2), _complex_array(ly["b"], 1)) for ly in doc["layers"]))
+    if (theta.input_dim, theta.hidden_layers) != (doc["d"], doc["L"]):
+        raise ValueError("declared dimensions disagree with the layer shapes")
     return theta
 
 
-_ZERO_PAIR = json.dumps([0.0, 0.0])
+def network_from_json_dict(doc):
+    """The network of a ``cvnn-network/1`` document, or the :class:`RidgeNetwork` of a ``/2`` one."""
+    try:
+        if doc["format"] == RIDGE_FORMAT_TAG:
+            ridge = _weights_from_json_dict(doc["ridge"])
+            if ridge.hidden_layers != 1:
+                raise ValueError(f"the ridge layer must have one hidden layer, got {ridge.hidden_layers}")
+            (w, b), (a, c) = ridge.layers
+            return RidgeNetwork(ShallowNetwork(c[0], a[0], w, b), _weights_from_json_dict(doc["trunk"]))
+        return _weights_from_json_dict(doc)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed network document: {exc!r}") from None
 
 
-def _nonzero(x):
-    """Per entry of ``x``, whether any bit of its two doubles is set (-0.0 is not zero)."""
-    return np.ascontiguousarray(x).view(np.uint64).reshape(*x.shape, 2).any(axis=-1)
+def save_network(net, path):
+    """Write ``net`` as one JSON document.
 
-
-def _row_json(row):
-    """``json.dumps(_pairs(row))``, with each run of exact +0.0+0.0j entries written as one joined string."""
-    zero = ~_nonzero(row)
-    bounds = [0, *(np.flatnonzero(np.diff(zero)) + 1).tolist(), zero.size]
-    runs = [
-        ", ".join([_ZERO_PAIR] * (hi - lo)) if zero[lo] else json.dumps(_pairs(row[lo:hi]))[1:-1]
-        for lo, hi in zip(bounds, bounds[1:])
-        if hi > lo
-    ]
-    return "[" + ", ".join(runs) + "]"
-
-
-def _rows_json(a):
-    """``json.dumps(_pairs(a))[1:-1]`` in pieces of at most ``JSON_CHUNK_ENTRIES`` entries each.
-
-    A block of rows without an exact zero goes through one ``json.dumps``;
-    other blocks go row by row through :func:`_row_json`.
+    :class:`NetworkWeights` is a ``cvnn-network/1`` document; a
+    :class:`RidgeNetwork` is a ``cvnn-network/2`` document nesting the ``/1``
+    documents of its ridge layer and of its trunk.
     """
-    step = max(1, JSON_CHUNK_ENTRIES // max(a.shape[1], 1))
-    for lo in range(0, a.shape[0], step):
-        block = a[lo : lo + step]
-        yield json.dumps(_pairs(block))[1:-1] if _nonzero(block).all() else ", ".join(map(_row_json, block))
-
-
-def save_network(theta, path):
-    """Write the bytes of ``json.dumps(network_to_json_dict(theta))``, a few matrix rows at a time.
-
-    Rows go through the C encoder in short-lived lists, so neither the whole
-    document nor its millions of nested lists are ever held at once.
-    """
-    head = json.dumps({"format": FORMAT_TAG, "d": theta.input_dim, "L": theta.hidden_layers, "layers": []})
+    if isinstance(net, RidgeNetwork):
+        doc = {
+            "format": RIDGE_FORMAT_TAG,
+            "ridge": network_to_json_dict(net.ridge.to_network()),
+            "trunk": network_to_json_dict(net.trunk),
+        }
+    else:
+        doc = network_to_json_dict(net)
     with open(path, "w") as fh:
-        fh.write(head[: -len("]}")])
-        for j, (a, b) in enumerate(theta.layers):
-            fh.write(', {"A": [' if j else '{"A": [')
-            for i, rows in enumerate(_rows_json(a)):
-                fh.write((", " if i else "") + rows)
-            fh.write('], "b": ' + _row_json(b) + "}")
-        fh.write("]}")
+        fh.write(json.dumps(doc))
 
 
 def load_network(path):

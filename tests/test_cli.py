@@ -5,7 +5,7 @@ import numpy as np
 from cvnnuniv import cli
 from cvnnuniv.activations import by_name
 from cvnnuniv.cli import run_cli
-from cvnnuniv.constructor import ConstructorConfig, synthesize_shallow
+from cvnnuniv.constructor import ConstructorConfig, synthesize_deep, synthesize_shallow
 from cvnnuniv.network import load_network
 from cvnnuniv.targets import resolve_target
 from cvnnuniv.verify import error_floor_experiment
@@ -197,6 +197,24 @@ def test_network_out(tmp_path):
     )
     want = shallow.to_network()
     got = load_network(nets[0])
+    _assert_same_layers(want, got)
+
+    # deep: a cvnn-network/2 document of the ridge layer and the shared trunk
+    deep_net = tmp_path / "deep.json"
+    argv = ["approximate", "--activation", "example_4_8", "--target", "cone", "--deep", "--override", "--seed", "4"]
+    assert run_cli(argv + ["--out", str(tmp_path / "deep-cert.json"), "--network-out", str(deep_net)]) == 0
+    assert json.loads(deep_net.read_text())["format"] == "cvnn-network/2"
+    want, _ = synthesize_deep(
+        by_name("example_4_8"), resolve_target("cone"), 1, 2, (0.0, 1.0), ConstructorConfig(seed=4), gate=False
+    )
+    got = load_network(deep_net)
+    for name in ("c", "a", "w", "b"):
+        want_bits, got_bits = (np.atleast_1d(getattr(n.ridge, name)).view(np.uint64) for n in (want, got))
+        assert np.array_equal(want_bits, got_bits)
+    _assert_same_layers(want.trunk, got.trunk)
+
+
+def _assert_same_layers(want, got):
     assert len(got.layers) == len(want.layers)
     for (a1, b1), (a2, b2) in zip(want.layers, got.layers):
         assert np.array_equal(a1.view(np.uint64), a2.view(np.uint64))

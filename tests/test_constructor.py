@@ -26,7 +26,7 @@ from cvnnuniv.constructor import (
 )
 from cvnnuniv.errors import InactiveExpansionPointError, NoActivePointError, SynthesisRefusedError
 from cvnnuniv.grids import make_grid, random_points
-from cvnnuniv.network import eval_network, eval_shallow
+from cvnnuniv.network import RidgeNetwork, eval_network, eval_ridge, eval_shallow
 from cvnnuniv.targets import cone, relu_c, resolve_target, rez
 from cvnnuniv.wirtinger import jet_entries_at, make_mollifier, mollify
 
@@ -248,6 +248,16 @@ def test_synthesize_deep_generic_path():
     net, cert = synthesize_deep(RATIO, cone, 1, 2, (0.0, 1.0), CFG, target_name="cone", gate=False)
     assert net.hidden_layers == 2
     assert cert.sup_error <= 0.15
+    # every ridge shares one 1-input trunk; the size counts the trunk once per ridge
+    assert isinstance(net, RidgeNetwork) and net.trunk.input_dim == 1
+    assert cert.network_size == (2, net.ridge.width * net.trunk.total_neurons)
+    grid = make_grid(0.0, 1.0, 65)
+    assert cert.sup_error == float(np.max(np.abs(cone(grid.scalars) - eval_ridge(net, RATIO, grid.scalars))))
+    # on C^2 each ridge reads its own direction w[j]
+    net2, cert2 = synthesize_deep(RATIO, cone, 2, 2, (0.0, 1.0), CFG, target_name="cone", gate=False)
+    assert net2.ridge.w.shape == (net2.ridge.width, 2)
+    assert cert2.network_size == cert.network_size
+    assert cert2.sup_error <= 0.25
 
 
 def test_example_4_8_deep_succeeds_shallow_refused():

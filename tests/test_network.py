@@ -10,11 +10,13 @@ from cvnnuniv.errors import ActivationSingularityError
 from cvnnuniv.grids import random_points
 from cvnnuniv.network import (
     NetworkWeights,
+    RidgeNetwork,
     ShallowNetwork,
     _cmul,
     compose,
     concat_shallow,
     eval_network,
+    eval_ridge,
     eval_shallow,
     lift_affine,
     linear_combine,
@@ -44,6 +46,12 @@ def random_net(rng, d=1, hidden=(3, 2), scale=2.0):
         b = scale * (rng.random(widths[j + 1]) * 2 - 1) + 1j * scale * (rng.random(widths[j + 1]) * 2 - 1)
         layers.append((a, b))
     return NetworkWeights(tuple(layers))
+
+
+def _shallow_net(rng, d, width, outer_scale=1.0):
+    a, b = (rng.standard_normal((2, width, 2)) @ [1, 1j]) * [[outer_scale], [1.0]]
+    w = rng.standard_normal((width, d, 2)) @ [1, 1j]
+    return ShallowNetwork(c=0.5 - 0.25j, a=a, w=w, b=b)
 
 
 def test_eval_identity_like():
@@ -252,17 +260,44 @@ def _malformed(edit):
     return doc
 
 
+def _malformed_ridge(edit):
+    rng = np.random.default_rng(18)
+    net = RidgeNetwork(_shallow_net(rng, 2, 3), random_net(rng, hidden=(3, 2)))
+    doc = {
+        "format": "cvnn-network/2",
+        "ridge": network_to_json_dict(net.ridge.to_network()),
+        "trunk": network_to_json_dict(net.trunk),
+    }
+    edit(doc, rng)
+    return doc
+
+
 @pytest.mark.parametrize(
     "doc",
     [
         _malformed(lambda doc: doc["layers"][0]["A"][0].__setitem__(0, [1.0])),
         _malformed(lambda doc: doc["layers"][0]["A"][1].pop()),
-        _malformed(lambda doc: doc.__setitem__("format", "cvnn-network/2")),
+        _malformed(lambda doc: doc.__setitem__("format", "cvnn-network/9")),
         _malformed(lambda doc: doc["layers"][1]["b"].__setitem__(0, [None, 1.0])),
         _malformed(lambda doc: doc["layers"][1].pop("b")),
         _malformed(lambda doc: doc.__setitem__("d", 3)),
+        _malformed_ridge(lambda doc, rng: doc.__setitem__("trunk", network_to_json_dict(random_net(rng, d=2)))),
+        _malformed_ridge(lambda doc, rng: doc.__setitem__("ridge", network_to_json_dict(random_net(rng, d=2)))),
+        _malformed_ridge(lambda doc, rng: doc.pop("trunk")),
+        _malformed_ridge(lambda doc, rng: doc["trunk"].__setitem__("format", "cvnn-network/2")),
     ],
-    ids=["non-pair", "ragged", "tag", "null", "missing-key", "declared-d"],
+    ids=[
+        "non-pair",
+        "ragged",
+        "tag",
+        "null",
+        "missing-key",
+        "declared-d",
+        "trunk-2-inputs",
+        "ridge-depth-2",
+        "missing-trunk",
+        "nested-tag",
+    ],
 )
 def test_malformed_network_document_raises_value_error(doc):
     with pytest.raises(ValueError):
@@ -315,20 +350,16 @@ def _one_shot_shallow(s, sigma, batch):
     return np.full(batch.shape[0], s.c, dtype=complex) + sigma(batch @ s.w.T + s.b) @ s.a
 
 
-def _shallow_net(rng, d, width, outer_scale=1.0):
-    a, b = (rng.standard_normal((2, width, 2)) @ [1, 1j]) * [[outer_scale], [1.0]]
-    w = rng.standard_normal((width, d, 2)) @ [1, 1j]
-    return ShallowNetwork(c=0.5 - 0.25j, a=a, w=w, b=b)
-
-
 @pytest.mark.parametrize("d", [1, 2])
 def test_one_point_evaluates_as_inside_a_batch(d):
     # a lone row would go through gemv or dot, which sum in another order than gemm
     rng = np.random.default_rng(13)
     s = _shallow_net(rng, d, 300, outer_scale=1e6)
     deep = random_net(rng, d=d, hidden=(200, 150), scale=30.0)
+    ridges = RidgeNetwork(_shallow_net(rng, d, 30, outer_scale=1e6), random_net(rng, hidden=(40, 30), scale=30.0))
     batch = random_points(0.0, 1.5, 40, rng, d=d)
-    for evaluate, net in ((eval_shallow, s), (eval_network, s.to_network()), (eval_network, deep)):
+    cases = ((eval_shallow, s), (eval_network, s.to_network()), (eval_network, deep), (eval_ridge, ridges))
+    for evaluate, net in cases:
         inside = evaluate(net, RATIO, batch)
         for i, z in enumerate(batch):
             point = z[0] if d == 1 else z
@@ -365,8 +396,10 @@ def test_row_chunks_cover_the_batch_without_one_row_blocks():
 def test_evaluation_memory_stays_bounded():
     rng = np.random.default_rng(15)
     s = _shallow_net(rng, 1, 2048)
+    # 64 ridges of a width-64 trunk: every trunk pre-activation at once would take 524 MB
+    ridges = RidgeNetwork(_shallow_net(rng, 1, 64), random_net(rng, hidden=(64,), scale=1.0))
     zs = random_points(0.0, 1.0, 8000, rng)[:, 0]
-    for evaluate, net in ((eval_shallow, s), (eval_network, s.to_network())):
+    for evaluate, net in ((eval_shallow, s), (eval_network, s.to_network()), (eval_ridge, ridges)):
         tracemalloc.start()
         try:
             evaluate(net, RATIO, zs)
@@ -377,34 +410,48 @@ def test_evaluation_memory_stays_bounded():
         assert peak < 64 * 2**20
 
 
-@pytest.mark.parametrize("piece", [network.JSON_CHUNK_ENTRIES, 5])
-def test_streamed_writer_bytes_around_zero_runs(piece, tmp_path, monkeypatch):
-    # small pieces mix zero-free row blocks, encoded whole, with blocks written row by row
-    monkeypatch.setattr(network, "JSON_CHUNK_ENTRIES", piece)
+def _dense_expansion(net):
+    # one trunk copy per ridge, through the exact network algebra
+    r = net.ridge
+    lifted = [lift_affine(net.trunk, r.w[j], r.b[j]) for j in range(r.width)]
+    dense = linear_combine(lifted[0], lifted[1], r.a[0], r.a[1])
+    for j in range(2, r.width):
+        dense = linear_combine(dense, lifted[j], 1.0, r.a[j])
+    a, b = dense.layers[-1]
+    return NetworkWeights(dense.layers[:-1] + ((a, b + r.c),))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_ridge_network_equals_its_dense_expansion(d):
     rng = np.random.default_rng(16)
+    for hidden in ((3,), (4, 3), (3, 2, 2)):
+        net = RidgeNetwork(_shallow_net(rng, d, 5), random_net(rng, hidden=hidden, scale=1.0))
+        dense = _dense_expansion(net)
+        assert (net.hidden_layers, net.total_neurons) == (dense.hidden_layers, dense.total_neurons)
+        zs = random_points(0.0, 1.0, 60, rng, d=d)
+        zs = zs[:, 0] if d == 1 else zs
+        assert np.max(np.abs(eval_ridge(net, RATIO, zs) - eval_network(dense, RATIO, zs))) < 1e-12
+
+
+def test_ridge_network_round_trip_bit_exact(tmp_path):
+    rng = np.random.default_rng(17)
     nan, inf = float("nan"), float("inf")
-    a1 = rng.standard_normal((7, 9)) + 1j * rng.standard_normal((7, 9))
-    a1[0, :3] = 0  # run at the start of a row
-    a1[1, 3:6] = 0  # in the middle
-    a1[2, 6:] = 0  # at the end
-    a1[3] = 0  # an all-zero row
-    a1[4] = [0, 0, complex(-0.0, 0.0), 0, complex(0.0, -0.0), 0, complex(-0.0, -0.0), 0, 0]
-    a1[5] = [0, complex(nan, 0.0), 0, complex(inf, 0.0), 0, complex(0.0, -inf), 0, complex(nan, nan), 0]
-    a1[6, ::2] = 0
-    out = np.zeros((1, 7), dtype=complex)
-    out[0, 2] = complex(-0.0, 1.5)
-    column = np.array([1 + 1j, nan, complex(0.0, inf), 0, 2, -0.0, 3, nan, 5, 6, -inf])
-    cases = [
-        NetworkWeights(((np.zeros((9, 1)), np.zeros(9)), (a1, np.zeros(7)), (out, [0.0]))),
-        NetworkWeights(((rng.standard_normal((9, 2)), np.zeros(9)), (a1, rng.standard_normal(7)), (out, [-0.0]))),
-        NetworkWeights((([[0.0], [2.0]], [0.0, complex(0.0, -0.0)]), ([[0.0, 0.0]], [0.0]))),
-        # a one-column layer whose -0.0, nan and inf also sit in zero-free row blocks
-        NetworkWeights(((column[:, None], np.ones(11)), (np.ones((1, 11)), [1.0]))),
-    ]
-    for t in cases:
-        path = tmp_path / "net.json"
-        save_network(t, path)
-        assert path.read_bytes() == json.dumps(network_to_json_dict(t)).encode() == _float_reference(t)
-        back = load_network(path)
-        for (a1_, b1_), (a2_, b2_) in zip(t.layers, back.layers):
-            assert np.array_equal(_bits(a1_), _bits(a2_)) and np.array_equal(_bits(b1_), _bits(b2_))
+    s = _shallow_net(rng, 2, 4)
+    a, w, b = s.a.copy(), s.w.copy(), s.b.copy()
+    a[:2] = [complex(-0.0, nan), complex(inf, -inf)]
+    w[1, 0], b[3] = complex(0.0, -0.0), complex(nan, -0.0)
+    trunk = [(x.copy(), y.copy()) for x, y in random_net(rng, hidden=(3, 2)).layers]
+    trunk[1][0][0, 1], trunk[2][1][0] = complex(-inf, 5e-324), complex(-0.0, -0.0)
+    net = RidgeNetwork(ShallowNetwork(complex(-0.0, inf), a, w, b), NetworkWeights(tuple(trunk)))
+    path = tmp_path / "net.json"
+    save_network(net, path)
+    doc = json.loads(path.read_text())
+    assert doc["format"] == "cvnn-network/2"
+    assert doc["ridge"]["format"] == doc["trunk"]["format"] == "cvnn-network/1"
+    back = load_network(path)
+    assert isinstance(back, RidgeNetwork)
+    assert np.array_equal(_bits(back.ridge.c), _bits(net.ridge.c))
+    for name in ("a", "w", "b"):
+        assert np.array_equal(_bits(getattr(back.ridge, name)), _bits(getattr(net.ridge, name)))
+    for (a1, b1), (a2, b2) in zip(net.trunk.layers, back.trunk.layers, strict=True):
+        assert np.array_equal(_bits(a1), _bits(a2)) and np.array_equal(_bits(b1), _bits(b2))
