@@ -18,7 +18,14 @@ import sys
 from . import __version__
 from .activations import activation_names, by_name
 from .classifier import ClassifierConfig, classify
-from .constructor import ConstructorConfig, lift_dimension, reads_relu_eps, synthesize_deep, synthesize_shallow
+from .constructor import (
+    JET_LIMIT,
+    ConstructorConfig,
+    lift_dimension,
+    reads_relu_eps,
+    synthesize_deep,
+    synthesize_shallow,
+)
 from .errors import CvnnError, SynthesisRefusedError
 from .grids import make_grid
 from .network import save_network
@@ -95,6 +102,22 @@ def _check_writable(path):
         os.remove(path)
 
 
+def _check_ranges(args):
+    """Raise ``UsageError`` for a flag value outside its range; runs before any work."""
+    # a deep network has at least two hidden layers, a random invariant network at least one
+    lowest = {"degree": 0, "dims": 1, "trials": 1, "layers": 2 if args.command == "approximate" else 1}
+    for flag, low in lowest.items():
+        value = getattr(args, flag, None)
+        if value is not None and value < low:
+            raise UsageError(f"--{flag} must be at least {low}, got {value}")
+    if getattr(args, "degree", 0) > JET_LIMIT:
+        raise UsageError(f"--degree must be at most {JET_LIMIT}, the highest order monomial extraction reaches")
+    for flag in ("radius", "tol", "eps"):
+        value = getattr(args, flag, None)
+        if value is not None and not value > 0:
+            raise UsageError(f"--{flag} must be positive, got {value}")
+
+
 def _normalize_kind(kind):
     if kind in ("dbar", "dbar_vanishes"):
         return "dbar_vanishes"
@@ -166,6 +189,8 @@ def _cmd_floor(args):
         widths = tuple(int(w) for w in args.widths.split(",") if w.strip())
     except ValueError:
         raise UsageError(f"malformed widths {args.widths!r}") from None
+    if not widths or min(widths) < 1:
+        raise UsageError(f"--widths needs at least one width, each at least 1, got {args.widths!r}")
     radius = args.radius if args.radius is not None else 1.0
     table = error_floor_experiment(sigma, target, widths, (0.0, radius), seed=args.seed)
     if args.format == "csv":
@@ -191,6 +216,7 @@ def run_cli(argv):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        _check_ranges(args)
         # an unwritable output fails before any work, and so before any other output is written
         for path in (args.out, getattr(args, "network_out", None)):
             if path:

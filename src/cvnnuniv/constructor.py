@@ -1,9 +1,10 @@
 """Constructive approximation by shallow and deep complex networks.
 
 The shallow pipeline fits the target by polynomials in z and zbar, then
-realizes each monomial z^m zbar^l as a divided-difference combination of
-dilated neurons: stencil weights in the dilation parameter w applied to
-sigma(w z + theta), normalized by the derivative of sigma at theta.  The deep
+realizes the polynomial on one lattice of dilated neurons sigma(w z + theta)
+at one theta: each monomial z^m zbar^l is the lattice's divided-difference
+table for d^m dbar^l in the dilation parameter w, normalized by the lattice's
+own estimate of (d^m dbar^l sigma)(theta).  The deep
 pipeline builds a two-layer surrogate of the real-part ReLU
 rho(z) = max(0, Re z) by composing an approximate real polynomial with an
 approximate real-part map, then reduces any target to ridges of rho via a
@@ -21,12 +22,7 @@ import numpy as np
 
 from . import __version__, targets
 from .classifier import YES, _is_exact_relu_composer, classify, monomial_design
-from .errors import (
-    IllConditionedBasisError,
-    InactiveExpansionPointError,
-    NoActivePointError,
-    SynthesisRefusedError,
-)
+from .errors import IllConditionedBasisError, NoActivePointError, SynthesisRefusedError
 from .grids import cut_distance, make_grid, points_of, random_points
 from .network import (
     NetworkWeights,
@@ -34,7 +30,6 @@ from .network import (
     ShallowNetwork,
     _cmul,
     compose,
-    concat_shallow,
     eval_network,
     eval_ridge,
     eval_shallow,
@@ -58,27 +53,8 @@ DEEP_RIDGE_WIDTH = 16
 
 
 def fd_step_for(total_order):
-    """Divided-difference step in the dilation parameter for a monomial of total order ``total_order``.
-
-    Both the active-point search and the monomial extraction read it, so the two always use the same stencil.
-    """
+    """Divided-difference step in the dilation parameter for a lattice of highest total order ``total_order``."""
     return 0.01 if total_order <= 4 else 0.015
-
-
-@dataclasses.dataclass(frozen=True)
-class MonomialRequest:
-    """One monomial z^m zbar^l to extract around base point ``theta``."""
-
-    m: int
-    ell: int
-    theta: complex
-    fd_step: float = 0.01
-
-    def __post_init__(self):
-        if self.m < 0 or self.ell < 0:
-            raise ValueError("powers must be nonnegative")
-        if self.m + self.ell > JET_LIMIT:
-            raise ValueError(f"total order {self.m + self.ell} exceeds the jet limit {JET_LIMIT}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -127,18 +103,26 @@ def _domain_dict(center, radius, d):
     }
 
 
-def _w_stencil(m, ell, fd_step):
-    """2-D divided-difference weights in the dilation parameter w."""
-    K = m + ell
+def _wirtinger_tables(monomials):
+    """(nodes, tables): one dilation lattice in w and the Wirtinger table of each monomial on it.
+
+    The lattice has step ``fd_step_for(K)`` and half-width
+    ``stencil_halfwidth(K)``, K being the highest total order of
+    ``monomials``.  Row i of ``tables`` holds the divided-difference weights of
+    d^m dbar^l for monomials[i] = (m, l), one per node.
+    """
+    K = max(m + ell for m, ell in monomials)
+    step = fd_step_for(K)
     n = stencil_halfwidth(K)
     offs = np.arange(-n, n + 1)
-    wx = [fd_weights(a, offs * fd_step) for a in range(K + 1)]
-    coeffs = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
-    # one outer product per expansion term, in expansion order: grouping equal (a, b) first rounds differently
-    for a, b, lam in wirtinger_terms(m, ell):
-        coeffs += lam * np.outer(wx[a], wx[b])
-    nodes = fd_step * (offs[:, None] + 1j * offs[None, :])
-    return nodes.ravel(), coeffs.ravel()
+    wx = [fd_weights(a, offs * step) for a in range(K + 1)]
+    tables = np.zeros((len(monomials), 2 * n + 1, 2 * n + 1), dtype=complex)
+    for table, (m, ell) in zip(tables, monomials):
+        # one outer product per expansion term, in expansion order: grouping equal (a, b) first rounds differently
+        for a, b, lam in wirtinger_terms(m, ell):
+            table += lam * np.outer(wx[a], wx[b])
+    nodes = step * (offs[:, None] + 1j * offs[None, :])
+    return nodes.ravel(), tables.reshape(len(monomials), -1)
 
 
 def _cuts(sigma):
@@ -146,74 +130,94 @@ def _cuts(sigma):
     return tuple(sigma.nonsmooth_set) + tuple(sigma.discontinuity_set) + tuple(sigma.singular_points)
 
 
-def extract_monomial(sigma, req):
-    """Shallow network approximating z^m zbar^l on the unit ball.
-
-    The neurons are sigma(w_node z + theta) over the divided-difference
-    stencil in w, scaled by the stencil weights and normalized by the
-    stencil's own estimate of (d^m dbar^l sigma)(theta).  When sigma is not
-    smooth and theta sits too close to its non-smooth set for the stencil
-    footprint, the mollified activation is used instead and every neuron is
-    expanded into the corresponding sum of translates of sigma.
-    """
-    m, ell, theta = req.m, req.ell, complex(req.theta)
-    nodes, coeffs = _w_stencil(m, ell, req.fd_step)
-    reach = float(np.max(np.abs(nodes))) * 1.1
-    use_raw = sigma.smooth or float(cut_distance(theta, _cuts(sigma))) > reach + 0.02
-    if use_raw:
-        samples = sigma(nodes + theta)
-    else:
-        moll = make_mollifier(SYNTH_MOLLIFIER_EPS, SYNTH_MOLLIFIER_Q)
-        samples = mollify(sigma, moll)(nodes + theta)
-    rho = complex(np.sum(coeffs * samples))
-    scale = max(1.0, float(np.max(np.abs(samples))))
-    noise_floor = float(np.sum(np.abs(coeffs))) * 2.3e-16 * scale
-    if abs(rho) < max(1e-8, 100.0 * noise_floor):
-        raise InactiveExpansionPointError("inactive expansion point")
-    keep = np.abs(coeffs) > 0
-    nodes, coeffs = nodes[keep], coeffs[keep]
-    if use_raw:
-        return ShallowNetwork(0.0, coeffs / rho, nodes[:, None], np.full(nodes.size, theta))
-    # neuron (node k, translate q) is sigma(w_k z + theta - delta_q), in node-major order
-    a = (moll.weights[None, :] * coeffs[:, None] / rho).ravel()
-    b = np.tile(theta - moll.offsets, nodes.size)
-    return ShallowNetwork(0.0, a, np.repeat(nodes, moll.offsets.size)[:, None], b)
+def _best_candidate(f, cand, nodes, tables):
+    """(active count, theta, rho, active) at the best point of ``cand`` for the function ``f``; count -1 if none."""
+    if cand.size == 0:
+        return -1, None, None, None
+    samples = f(cand[:, None] + nodes[None, :])
+    rho = samples @ tables.T
+    scale = np.maximum(1.0, np.max(np.abs(samples), axis=1))
+    noise = 100.0 * np.sum(np.abs(tables), axis=1)[None, :] * 2.3e-16 * scale[:, None]
+    active = np.abs(rho) >= np.maximum(1e-8, noise)
+    count = np.sum(active, axis=1)
+    margin = np.min(np.where(active, np.abs(rho) / noise, np.inf), axis=1)
+    best = int(np.argmax(np.where(count == np.max(count), margin, -1.0)))
+    return int(count[best]), complex(cand[best]), rho[best], active[best]
 
 
-def find_active_point(sigma, m, ell, search_grid, fd_step):
-    """Point of the grid maximizing |(d^m dbar^l sigma)(theta)|.
+def find_active_point(sigma, nodes, tables, search_grid):
+    """(theta, mollifier, rho, active): the point of ``search_grid`` where the most monomials are active.
 
-    The derivative is the dilation stencil of step ``fd_step``, the stencil
-    :func:`extract_monomial` uses at the same step.  Prefers points whose
-    stencil footprint stays clear of the non-smooth set (raw evaluation
-    there); falls back to the mollified activation on the whole grid when no
-    raw point is active.  Raises ``NoActivePointError`` when every magnitude
-    sits below threshold, which signals that sigma cannot produce this
-    monomial.
+    ``nodes`` and ``tables`` are a lattice of :func:`_wirtinger_tables`, and
+    rho[i] = sum_j tables[i, j] f(nodes[j] + theta) is the lattice's estimate
+    of (d^m dbar^l f)(theta) for monomial i.  Monomial i is active when
+    |rho[i]| clears the noise floor max(1e-8, 100 * sum|tables[i]| * 2.3e-16
+    * max(1, max|samples|)).  Candidates rank by how many monomials are
+    active, then by the smallest |rho| / noise among those.  f is sigma at the
+    points whose lattice footprint keeps clear of the non-smooth set (every
+    point when sigma is smooth); the mollified activation on the whole grid,
+    whose ``MollifierSpec`` is returned in place of None, is used instead only
+    when it activates more monomials.
     """
     pts = points_of(search_grid)
-    nodes, coeffs = _w_stencil(m, ell, fd_step)
     reach = float(np.max(np.abs(nodes))) * 1.1 + 0.02
+    cand = pts if sigma.smooth else pts[cut_distance(pts, _cuts(sigma)) > reach]
+    count, theta, rho, active = _best_candidate(sigma.raw, cand, nodes, tables)
+    moll = None
+    if not sigma.smooth and count < len(tables):
+        spec = make_mollifier(SYNTH_MOLLIFIER_EPS, SYNTH_MOLLIFIER_Q)
+        smoothed = _best_candidate(mollify(sigma, spec), pts, nodes, tables)
+        if smoothed[0] > count:
+            _, theta, rho, active = smoothed
+            moll = spec
+    return theta, moll, rho, active
 
-    def magnitudes(f, cand):
-        samples = f(cand[:, None] + nodes[None, :])
-        return np.abs(samples @ coeffs)
 
-    threshold = 1e-8
-    if sigma.smooth:
-        cand = pts
-        mags = magnitudes(sigma.raw, cand)
-    else:
-        cand = pts[cut_distance(pts, _cuts(sigma)) > reach]
-        mags = magnitudes(sigma.raw, cand) if cand.size else np.empty(0)
-        if cand.size == 0 or np.max(mags) < threshold:
-            f = mollify(sigma, make_mollifier(SYNTH_MOLLIFIER_EPS, SYNTH_MOLLIFIER_Q))
-            cand = pts
-            mags = magnitudes(f, cand)
-    if cand.size == 0 or np.max(mags) < threshold:
-        raise NoActivePointError("no active point found")
-    best = int(np.argmax(mags))
-    return complex(cand[best]), float(mags[best])
+def extract_monomial(sigma, coeffs, search):
+    """(net, failures): a shallow network approximating sum c[(m, l)] z^m zbar^l on the unit ball.
+
+    ``coeffs`` maps (m, l) to c.  The constant term becomes the network's
+    constant, and terms with |c| <= COEFF_THRESHOLD are dropped.  Every other
+    monomial is a divided difference on one lattice (:func:`_wirtinger_tables`)
+    at one theta (:func:`find_active_point`): neuron j is
+    sigma(nodes[j] z + theta) with outer coefficient sum c * tables[j] / rho
+    over the active monomials.  When theta was found on the mollified
+    activation, each neuron is expanded into the sum of translates of sigma
+    that the mollifier's quadrature makes of it.  ``failures`` names each
+    monomial that is inactive at theta and so left out.
+    """
+    coeffs = dict(coeffs)
+    if any(m < 0 or ell < 0 for m, ell in coeffs):
+        raise ValueError("powers must be nonnegative")
+    if any(m + ell > JET_LIMIT for m, ell in coeffs):
+        raise ValueError(f"total order {max(m + ell for m, ell in coeffs)} exceeds the jet limit {JET_LIMIT}")
+    constant = coeffs.pop((0, 0), 0.0)
+    monomials = sorted(key for key, c in coeffs.items() if abs(c) > COEFF_THRESHOLD)
+    if not monomials:
+        return ShallowNetwork.constant(constant), []
+    nodes, tables = _wirtinger_tables(monomials)
+    theta, moll, rho, active = find_active_point(sigma, nodes, tables, search)
+    failures = [f"({m},{ell}): inactive expansion point" for (m, ell), ok in zip(monomials, active) if not ok]
+    # one outer coefficient per node, summed monomial by monomial in sorted order with _cmul's rounding
+    a = np.zeros(nodes.size, dtype=complex)
+    for c, r, table in zip(np.array([coeffs[key] for key in monomials])[active], rho[active], tables[active]):
+        a = a + _cmul(c / r, table)
+    keep = a != 0
+    nodes, a = nodes[keep], a[keep]
+    if moll is None:
+        return ShallowNetwork(constant, a, nodes[:, None], np.full(nodes.size, theta)), failures
+    # neuron (node k, translate q) is sigma(w_k z + theta - delta_q), in node-major order
+    a = (moll.weights[None, :] * a[:, None]).ravel()
+    b = np.tile(theta - moll.offsets, nodes.size)
+    return ShallowNetwork(constant, a, np.repeat(nodes, moll.offsets.size)[:, None], b), failures
+
+
+def _extract_exactly(sigma, coeffs, search):
+    """:func:`extract_monomial` of a polynomial that must be realized whole; raises ``NoActivePointError`` otherwise."""
+    net, failures = extract_monomial(sigma, coeffs, search)
+    if failures:
+        raise NoActivePointError("no active point found: " + "; ".join(failures))
+    return net
 
 
 def _poly_basis(fit_grid, degree):
@@ -330,10 +334,11 @@ def _require_verdict(sigma, field):
 def synthesize_shallow(sigma, target, domain, degree, config=None, target_name="custom", gate=True):
     """Shallow network approximating ``target`` on a disc, with certificate.
 
-    Pipeline: least-squares polynomial fit in z, zbar (total degree), then one
-    monomial extraction per significant coefficient, summed through the
-    vector-space structure of shallow networks.  Certificate errors are
-    measured on a held-out regular grid disjoint from the staggered fit grid.
+    Pipeline: least-squares polynomial fit in z, zbar (total degree), then the
+    whole polynomial realized by :func:`extract_monomial` on one lattice at
+    one theta; monomials it could not realize are listed in the certificate's
+    ``failures``.  Certificate errors are measured on a held-out regular grid
+    disjoint from the staggered fit grid.
     """
     config = config or ConstructorConfig()
     center, radius = domain
@@ -348,53 +353,12 @@ def synthesize_shallow(sigma, target, domain, degree, config=None, target_name="
         return target(center + radius * u)
 
     coeffs, fit_sup = _sup_oriented_fit(target_u, fit_grid, degree)
-    search = _search_grid(sigma)
-
-    parts = []
-    failures = []
-    constant = coeffs.pop((0, 0), 0.0)
-    for (m, ell), c in sorted(coeffs.items()):
-        if abs(c) <= COEFF_THRESHOLD:
-            continue
-        try:
-            parts.append(_extract_at_active_point(sigma, m, ell, search).scaled(c))
-        except (NoActivePointError, InactiveExpansionPointError) as exc:
-            failures.append(f"({m},{ell}): {exc}")
-    net_u = concat_shallow(parts + [ShallowNetwork.constant(constant)]) if parts else ShallowNetwork.constant(constant)
+    net_u, failures = extract_monomial(sigma, coeffs, _search_grid(sigma))
     net = _rescale_shallow(net_u, center, radius)
     echo = {**config.echo(), "degree": degree}
     stage_errors = {"fit_sup_on_fit_grid": fit_sup}
     cert = _certificate(net, sigma, target, center, radius, 1, config, target_name, echo, stage_errors, failures)
     return net, cert
-
-
-def _extract_at_active_point(sigma, m, ell, search):
-    """z^m zbar^l extracted at the most active point of ``search``; search and extraction share one step."""
-    step = fd_step_for(m + ell)
-    theta, _ = find_active_point(sigma, m, ell, search, step)
-    return extract_monomial(sigma, MonomialRequest(m=m, ell=ell, theta=theta, fd_step=step))
-
-
-def _extract_real_part(sigma, search):
-    """Shallow net ~ Re u on the unit ball: (id + conj)/2 by degree-1 extraction."""
-    parts = []
-    for m, ell in ((1, 0), (0, 1)):
-        parts.append(_extract_at_active_point(sigma, m, ell, search).scaled(0.5))
-    return concat_shallow(parts)
-
-
-def _extract_identity(sigma, search):
-    """Shallow net ~ u on the unit ball, from whichever degree-1 jet is active.
-
-    On real inputs z and conj(z) agree, which is where the identity padding
-    is applied in the deep construction.
-    """
-    for m, ell in ((1, 0), (0, 1)):
-        try:
-            return _extract_at_active_point(sigma, m, ell, search)
-        except (NoActivePointError, InactiveExpansionPointError):
-            continue
-    raise NoActivePointError("no active point found")
 
 
 def _search_grid(sigma):
@@ -430,31 +394,25 @@ def build_relu_c(sigma, r, eps, gate=True):
     Composes an inner shallow approximation of Re z with an outer shallow
     realization of a real polynomial p with |max(0,x) - p(x)| <= 2*eps/3 on
     [-r, r]; the outer stage evaluates p(Re w), whose expansion in w, wbar is
-    exact, through monomial extraction on the ball of radius r + 1.
+    exact, through :func:`extract_monomial` on the ball of radius r + 1.
     """
     if gate:
         _require_verdict(sigma, "deep_universal")
     r = float(r)
     search = _search_grid(sigma)
 
-    # inner stage: Psi ~ Re z on B_r, built on u = z / r
-    psi_u = _extract_real_part(sigma, search)
+    # inner stage: Psi ~ Re z on B_r, built on u = z / r as (u + conj u) / 2
+    psi_u = _extract_exactly(sigma, {(1, 0): 0.5, (0, 1): 0.5}, search)
     psi = _rescale_shallow(psi_u.scaled(r), 0.0, r)
 
-    # outer stage: Phi ~ p(Re w) on B_{r+1}
+    # outer stage: Phi ~ p(Re w) on B_{r+1}, with Re w = R (u + conj u) / 2 for u = w / R expanded binomially
     coef, poly_err = _chebyshev_relu(r, 2.0 * eps / 3.0)
     outer_radius = r + 1.0
-    parts = []
-    constant = complex(coef[0]) if len(coef) else 0.0
+    poly = {(0, 0): complex(coef[0])}
     for k in range(1, len(coef)):
-        a_k = complex(coef[k])
-        if abs(a_k) < 1e-14:
-            continue
         for j in range(k + 1):
-            c = a_k * math.comb(k, j) * 2.0 ** (-k) * outer_radius**k
-            parts.append(_extract_at_active_point(sigma, j, k - j, search).scaled(c))
-    phi_u = concat_shallow(parts + [ShallowNetwork.constant(constant)])
-    phi = _rescale_shallow(phi_u, 0.0, outer_radius)
+            poly[(j, k - j)] = complex(coef[k]) * math.comb(k, j) * 2.0 ** (-k) * outer_radius**k
+    phi = _rescale_shallow(_extract_exactly(sigma, poly, search), 0.0, outer_radius)
 
     return compose(phi.to_network(), psi.to_network())
 
@@ -483,7 +441,7 @@ def pad_with_identity(net, sigma, extra_layers, radius, exact_composer=False):
     if exact_composer:
         pad = _passthrough_net()
     else:
-        ident_u = _extract_identity(sigma, _search_grid(sigma))
+        ident_u = _extract_exactly(sigma, {(1, 0): 1.0}, _search_grid(sigma))
         pad = _rescale_shallow(ident_u.scaled(radius), 0.0, radius).to_network()
     for _ in range(extra_layers):
         net = compose(pad, net)

@@ -17,12 +17,8 @@ class ActivationSingularityError(CvnnError):
     """An activation was evaluated at (or produced) a singular value."""
 
 
-class InactiveExpansionPointError(CvnnError):
-    """The requested derivative vanishes at the chosen expansion point."""
-
-
 class NoActivePointError(CvnnError):
-    """No expansion point with a non-vanishing derivative was found."""
+    """No expansion point was found at which every needed derivative is active."""
 
 
 class IllConditionedBasisError(CvnnError):

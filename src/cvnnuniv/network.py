@@ -224,21 +224,6 @@ class RidgeNetwork:
         return self.ridge.width * self.trunk.total_neurons
 
 
-def concat_shallow(parts):
-    """Sum of shallow networks over a common input dimension."""
-    parts = list(parts)
-    if not parts:
-        raise ValueError("nothing to concatenate")
-    if any(p.input_dim != parts[0].input_dim for p in parts):
-        raise ValueError("input dimensions differ")
-    return ShallowNetwork(
-        sum(p.c for p in parts),
-        np.concatenate([p.a for p in parts]),
-        np.concatenate([p.w for p in parts]),
-        np.concatenate([p.b for p in parts]),
-    )
-
-
 def eval_shallow(s, sigma, z):
     """Evaluate a shallow network directly from its arrays, in row blocks, without building layers."""
 

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from cvnnuniv import cli
 from cvnnuniv.activations import by_name
@@ -107,6 +108,32 @@ def test_format_csv_only_on_floor_exits_2_before_work(tmp_path, monkeypatch):
     for _, argv in JOBS[:3]:
         assert run_cli(argv + ["--format", "csv", "--out", str(out)]) == 2, argv
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["approximate", "--activation", "ratio", "--target", "cone", "--degree", "8"],
+        ["approximate", "--activation", "ratio", "--target", "cone", "--degree", "-1"],
+        ["approximate", "--activation", "ratio", "--target", "cone", "--deep", "--layers", "1"],
+        ["approximate", "--activation", "ratio", "--target", "cone", "--radius", "-1"],
+        ["approximate", "--activation", "ratio", "--target", "cone", "--dims", "0"],
+        ["approximate", "--activation", "ratio", "--target", "relu_c", "--deep", "--eps", "0"],
+        ["classify", "--activation", "ratio", "--tol", "-1"],
+        ["invariants", "--activation", "sin", "--layers", "0"],
+        ["invariants", "--activation", "sin", "--trials", "0"],
+        ["floor", "--activation", "ratio", "--target", "cone", "--widths", "0"],
+        ["floor", "--activation", "ratio", "--target", "cone", "--widths", ","],
+    ],
+)
+def test_out_of_range_flag_exits_2_before_work(argv, tmp_path, capsys, monkeypatch):
+    _no_work(monkeypatch)
+    for attr in ("synthesize_deep", "lift_dimension"):
+        monkeypatch.setattr(cli, attr, lambda *args, **kwargs: pytest.fail("the job ran"))
+    out = tmp_path / "report.json"
+    assert run_cli(argv + ["--out", str(out)]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_config_flag_exits_2(tmp_path, monkeypatch):

@@ -8,10 +8,7 @@ from cvnnuniv.activations import by_name
 from cvnnuniv.constructor import (
     JET_LIMIT,
     PSI_WIDTH,
-    SYNTH_MOLLIFIER_EPS,
-    SYNTH_MOLLIFIER_Q,
     ConstructorConfig,
-    MonomialRequest,
     build_relu_c,
     extract_monomial,
     fd_step_for,
@@ -21,10 +18,11 @@ from cvnnuniv.constructor import (
     synthesize_deep,
     synthesize_shallow,
     _rescale_shallow,
+    _search_grid,
     _sup_oriented_fit,
-    _w_stencil,
+    _wirtinger_tables,
 )
-from cvnnuniv.errors import InactiveExpansionPointError, NoActivePointError, SynthesisRefusedError
+from cvnnuniv.errors import SynthesisRefusedError
 from cvnnuniv.grids import make_grid, random_points
 from cvnnuniv.network import RidgeNetwork, eval_network, eval_ridge, eval_shallow
 from cvnnuniv.targets import cone, relu_c, resolve_target, rez
@@ -39,45 +37,53 @@ UNIT = make_grid(0.0, 1.0, 33).scalars
 def test_monomial_fidelity_abs2():
     # the producible monomials of z zbar (its second pure derivatives vanish)
     for m, ell in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        mono = extract_monomial(ABS2, MonomialRequest(m=m, ell=ell, theta=0.3 + 0.1j))
+        mono, failures = extract_monomial(ABS2, {(m, ell): 1.0}, _search_grid(ABS2))
         got = eval_shallow(mono, ABS2, UNIT)
         want = UNIT**m * np.conj(UNIT) ** ell
-        assert np.max(np.abs(got - want)) <= 1e-2, (m, ell)
+        assert not failures and np.max(np.abs(got - want)) <= 1e-2, (m, ell)
 
 
 def test_monomial_fidelity_ratio_all_orders():
-    search = make_grid(0.0, 1.0, 15, avoid=RATIO.nonsmooth_set, guard=0.25)
+    search = _search_grid(RATIO)
     for total in range(1, 7):
         for m in range(total + 1):
             ell = total - m
-            step = fd_step_for(total)
-            theta, _ = find_active_point(RATIO, m, ell, search, step)
-            mono = extract_monomial(RATIO, MonomialRequest(m=m, ell=ell, theta=theta, fd_step=step))
+            mono, failures = extract_monomial(RATIO, {(m, ell): 1.0}, search)
             got = eval_shallow(mono, RATIO, UNIT)
             want = UNIT**m * np.conj(UNIT) ** ell
-            assert np.max(np.abs(got - want)) <= 1e-2, (m, ell)
+            assert not failures and np.max(np.abs(got - want)) <= 1e-2, (m, ell)
+    # every monomial up to order 6 at once, on one lattice at one theta
+    poly = {(m, ell): 1.0 for m in range(7) for ell in range(7 - m)}
+    net, failures = extract_monomial(RATIO, poly, search)
+    want = sum(UNIT**m * np.conj(UNIT) ** ell for m, ell in poly)
+    assert not failures and net.width <= 121 and np.unique(net.b).size == 1
+    assert np.max(np.abs(eval_shallow(net, RATIO, UNIT) - want)) <= 1e-2
 
 
 def test_impossible_monomial_is_inactive():
-    with pytest.raises(InactiveExpansionPointError, match="inactive expansion point"):
-        extract_monomial(ABS2, MonomialRequest(m=2, ell=0, theta=0.5 + 0.2j))
+    # z zbar has no (2, 0) jet anywhere: the monomial is left out and named, the rest is realized
+    net, failures = extract_monomial(ABS2, {(2, 0): 1.0, (1, 1): 2.0}, _search_grid(ABS2))
+    assert failures == ["(2,0): inactive expansion point"]
+    assert np.max(np.abs(eval_shallow(net, ABS2, UNIT) - 2.0 * np.abs(UNIT) ** 2)) <= 1e-2
+    net, failures = extract_monomial(ABS2, {(2, 0): 1.0}, _search_grid(ABS2))
+    assert failures == ["(2,0): inactive expansion point"] and net.width == 0
 
 
 def test_zeroth_monomial_is_exact_constant():
-    mono = extract_monomial(RATIO, MonomialRequest(m=0, ell=0, theta=0.5))
-    assert mono.width == 1
-    assert eval_shallow(mono, RATIO, 1.3 - 0.7j) == pytest.approx(1.0, abs=1e-12)
+    mono, failures = extract_monomial(RATIO, {(0, 0): 1.0}, _search_grid(RATIO))
+    assert mono.width == 0 and not failures
+    assert eval_shallow(mono, RATIO, 1.3 - 0.7j) == 1.0
 
 
 def test_abs2_quadratic_extrapolates():
-    mono = extract_monomial(ABS2, MonomialRequest(m=1, ell=1, theta=0.0))
+    mono, _ = extract_monomial(ABS2, {(1, 1): 1.0}, _search_grid(ABS2))
     assert eval_shallow(mono, ABS2, 2.0 + 0j) == pytest.approx(4.0, abs=1e-3 * 4)
 
 
 def test_ratio_identity_through_mollified_path():
-    # theta = 0 sits on the non-smooth point, forcing the mollified expansion
-    mono = extract_monomial(RATIO, MonomialRequest(m=1, ell=0, theta=0.0))
-    assert mono.width > 100  # translate-expanded neurons
+    # the only candidate, theta = 0, sits on the non-smooth point, forcing the mollified expansion
+    mono, failures = extract_monomial(RATIO, {(1, 0): 1.0}, [0.0])
+    assert not failures and mono.width > 100  # translate-expanded neurons
     got = eval_shallow(mono, RATIO, UNIT)
     assert np.max(np.abs(got - UNIT)) <= 0.05
     # normalization uses the derivative of the mollified activation at 0;
@@ -90,31 +96,40 @@ def test_ratio_identity_through_mollified_path():
 
 def test_find_active_point_cases():
     search = make_grid(0.0, 1.0, 11)
-    theta, mag = find_active_point(ABS2, 1, 1, search, 0.01)
-    assert mag == pytest.approx(1.0, rel=1e-6)
-    with pytest.raises(NoActivePointError, match="no active point found"):
-        find_active_point(by_name("sin"), 0, 1, search, 0.01)
+    nodes, tables = _wirtinger_tables([(1, 1)])
+    theta, moll, rho, active = find_active_point(ABS2, nodes, tables, search)
+    assert moll is None and active.tolist() == [True]
+    assert rho[0] == pytest.approx(1.0, rel=1e-6)
+    # sin is holomorphic: its dbar jet vanishes at every candidate
+    nodes, tables = _wirtinger_tables([(0, 1)])
+    _, _, _, active = find_active_point(by_name("sin"), nodes, tables, search)
+    assert active.tolist() == [False]
+    # ratio: raw candidates keep the lattice clear of the non-smooth point
     search_r = make_grid(0.0, 1.0, 11, avoid=RATIO.nonsmooth_set, guard=0.25)
-    theta, mag = find_active_point(RATIO, 2, 1, search_r, 0.01)
-    assert mag > 0.01 and abs(theta) >= 0.25
+    nodes, tables = _wirtinger_tables([(2, 1), (0, 3), (1, 0)])
+    theta, moll, rho, active = find_active_point(RATIO, nodes, tables, search_r)
+    assert moll is None and active.all() and np.min(np.abs(rho)) > 0.01 and abs(theta) >= 0.25
+    # a candidate that activates more monomials wins over larger jets: abs2 has (1, 1) everywhere, (2, 0) nowhere
+    nodes, tables = _wirtinger_tables([(2, 0), (1, 1), (1, 0)])
+    _, _, _, active = find_active_point(ABS2, nodes, tables, search)
+    assert active.tolist() == [False, True, True]
 
 
 def test_dilation_stencil_matches_jet_entries():
-    # extraction's stencil and the classifier's jet sum one Wirtinger expansion in two
-    # orders; they must agree to extract_monomial's noise floor at the steps it uses
+    # extraction's tables and the classifier's jet sum one Wirtinger expansion in two
+    # orders; on one lattice they must agree to the extraction noise floor at the steps it uses
     def f(z):
         return np.exp(0.7 * z) * np.conj(z) ** 2 + np.sin(np.conj(z))
 
     for theta in (0.3 - 0.2j, -0.45 + 0.6j):
-        for total in range(JET_LIMIT + 1):
-            step = fd_step_for(total)
-            for m in range(total + 1):
-                ell = total - m
-                nodes, coeffs = _w_stencil(m, ell, step)
-                samples = f(theta + nodes)
-                jet = jet_entries_at(f, np.array([theta]), [(m, ell)], step=step)[(m, ell)][0]
-                bound = 4 * 2.3e-16 * np.sum(np.abs(coeffs)) * np.max(np.abs(samples))
-                assert abs(np.sum(coeffs * samples) - jet) <= bound, (theta, m, ell)
+        for top in range(1, JET_LIMIT + 1):
+            monomials = [(m, total - m) for total in range(top + 1) for m in range(total + 1)]
+            nodes, tables = _wirtinger_tables(monomials)
+            samples = f(theta + nodes)
+            jets = jet_entries_at(f, np.array([theta]), monomials, step=fd_step_for(top))
+            for (m, ell), table in zip(monomials, tables):
+                bound = 4 * 2.3e-16 * np.sum(np.abs(table)) * np.max(np.abs(samples))
+                assert abs(np.sum(table * samples) - jets[(m, ell)][0]) <= bound, (theta, m, ell)
 
 
 def test_sup_oriented_fit_exact_cases():
@@ -162,6 +177,20 @@ def test_synthesize_cone_degree6():
     net, cert = synthesize_shallow(RATIO, cone, (0.0, 1.0), 6, CFG, target_name="cone", gate=False)
     assert cert.sup_error <= 0.1
     assert cert.test_grid_size > 3000
+    # one (2n+1)^2 lattice at one theta: every neuron has the bias theta
+    assert net.width <= 121 and np.unique(net.b).size == 1
+    # no worse than one active point and one stencil per monomial (2875 neurons, sup_error 0.0654814)
+    assert cert.sup_error <= 0.065481
+
+
+@pytest.mark.parametrize(
+    "name, degree, failures, width",
+    [("ratio", 6, 0, 2875), ("sigmoid_split", 6, 7, 2028), ("rho_c", 4, 12, 34), ("zlog", 4, 10, 340), ("arcsin_principal", 4, 10, 340)],
+)
+def test_one_lattice_fails_no_more_and_is_no_wider(name, degree, failures, width):
+    # the bounds are those of one active point and one stencil per monomial
+    net, cert = synthesize_shallow(by_name(name), cone, (0.0, 1.0), degree, CFG, target_name="cone", gate=False)
+    assert len(cert.failures) <= failures and net.width <= width
 
 
 def test_synthesize_off_center_domain():
@@ -287,11 +316,12 @@ def test_lift_dimension_cone_slice():
     assert "stage1_sup" in cert.stage_errors
 
 
-def test_monomial_request_validation():
-    with pytest.raises(ValueError):
-        MonomialRequest(m=5, ell=5, theta=0.0)
-    with pytest.raises(ValueError):
-        MonomialRequest(m=-1, ell=0, theta=0.0)
+def test_extract_monomial_validation():
+    search = _search_grid(RATIO)
+    with pytest.raises(ValueError, match="jet limit"):
+        extract_monomial(RATIO, {(5, 5): 1.0}, search)
+    with pytest.raises(ValueError, match="nonnegative"):
+        extract_monomial(RATIO, {(-1, 0): 1.0}, search)
 
 
 def _bits(x):
@@ -309,28 +339,34 @@ def _arrays(terms):
 
 
 def test_shallow_arrays_round_as_the_per_neuron_formulas():
-    # reference: one (a_j, w_j, b_j) per neuron, computed with Python and NumPy scalars
-    def extraction_reference(req, mollified):
-        nodes, coeffs = _w_stencil(req.m, req.ell, req.fd_step)
-        theta = complex(req.theta)
-        moll = make_mollifier(SYNTH_MOLLIFIER_EPS, SYNTH_MOLLIFIER_Q)
-        samples = (mollify(RATIO, moll) if mollified else RATIO)(nodes + theta)
-        rho = complex(np.sum(coeffs * samples))
-        keep = np.abs(coeffs) > 0
-        if mollified:
+    # reference: one (a_j, w_j, b_j) per neuron, a_j = sum c * table[j] / rho in Python complex arithmetic
+    poly = {(2, 1): 0.7, (1, 0): -0.3j, (0, 2): 1.1 + 0.2j}
+    monomials = sorted(poly)
+
+    def extraction_reference(search):
+        nodes, tables = _wirtinger_tables(monomials)
+        theta, moll, rho, active = find_active_point(RATIO, nodes, tables, search)
+        node_terms = []
+        for j, w_node in enumerate(nodes):
+            a_j = 0j
+            for key, r, table, ok in zip(monomials, rho, tables, active):
+                if ok:
+                    a_j = a_j + complex(np.complex128(poly[key]) / r) * complex(table[j])
+            if a_j != 0:
+                node_terms.append((a_j, w_node))
+        if moll is None:
+            terms = [(a_j, [w_node], theta) for a_j, w_node in node_terms]
+        else:
             terms = [
-                (weight * c / rho, [w_node], theta - delta)
-                for w_node, c in zip(nodes[keep], coeffs[keep])
+                (float(weight) * a_j, [w_node], theta - delta)
+                for a_j, w_node in node_terms
                 for delta, weight in zip(moll.offsets, moll.weights)
             ]
-        else:
-            terms = [(c / rho, [w_node], theta) for w_node, c in zip(nodes[keep], coeffs[keep])]
         return [(complex(a), np.asarray(w, dtype=complex), complex(b)) for a, w, b in terms]
 
-    for theta, mollified in ((0.3 + 0.2j, False), (0.0, True)):
-        req = MonomialRequest(m=2, ell=1, theta=theta, fd_step=fd_step_for(3))
-        net = extract_monomial(RATIO, req)
-        terms = extraction_reference(req, mollified)
+    for search, mollified in ((_search_grid(RATIO), False), ([0.0], True)):
+        net, failures = extract_monomial(RATIO, poly, search)
+        terms = extraction_reference(search)
         assert net.width == len(terms) and (net.width > 1000) == mollified
         _assert_same_network(net, *_arrays(terms), 0.0)
 

@@ -14,7 +14,6 @@ from cvnnuniv.network import (
     ShallowNetwork,
     _cmul,
     compose,
-    concat_shallow,
     eval_network,
     eval_ridge,
     eval_shallow,
@@ -302,15 +301,6 @@ def _malformed_ridge(edit):
 def test_malformed_network_document_raises_value_error(doc):
     with pytest.raises(ValueError):
         network_from_json_dict(doc)
-
-
-def test_concat_shallow():
-    s1 = ShallowNetwork(c=1.0, a=[2.0], w=[[1.0]], b=[0.5])
-    s2 = ShallowNetwork(c=-0.5j, a=[1j], w=[[2.0]], b=[-0.5])
-    s = concat_shallow([s1, s2])
-    zs = np.linspace(-1, 1, 7) + 0.2j
-    want = eval_shallow(s1, RATIO, zs) + eval_shallow(s2, RATIO, zs)
-    assert np.max(np.abs(eval_shallow(s, RATIO, zs) - want)) < 1e-15
 
 
 def test_cmul_rounds_like_python_complex_product():
