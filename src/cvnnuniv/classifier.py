@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .activations import avoid_set
 from .grids import cut_distance, make_grid, points_of, random_points, subsample
-from .wirtinger import jet_entries_at, make_mollifier, mollify
+from .wirtinger import jet_entries_at, make_mollifier, mollify, stencil_steps
 
 YES = "yes"
 NO = "no"
@@ -39,6 +39,7 @@ POINT_SINGULARITY_GUARD = 0.5
 DERIVATIVE_PROBES = 120
 NEAR_CUT_PROBES = 48
 HOLOMORPHY_PROBES = 200
+_MOLLIFIER = make_mollifier(MOLLIFIER_EPSILON, MOLLIFIER_QUADRATURE)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -81,7 +82,21 @@ def _scale_of(f, pts):
 
 
 def _smoothed(sigma):
-    return mollify(sigma, make_mollifier(MOLLIFIER_EPSILON, MOLLIFIER_QUADRATURE))
+    return mollify(sigma, _MOLLIFIER)
+
+
+def _jets(f, pts, entries, step_scale, mollified):
+    """Jet entries at ``pts`` with the default steps for ``step_scale``.
+
+    On the mollified path each step is rounded to a whole number of the
+    mollifier's node spacings, so stencils on lattice points stay on the
+    lattice where :func:`mollify` evaluates sigma once per argument.
+    """
+    if not mollified:
+        return jet_entries_at(f, pts, entries, step_scale=step_scale)
+    spacing = _MOLLIFIER.spacing
+    steps = spacing * np.maximum(1.0, np.round(stencil_steps(pts, step_scale) / spacing))
+    return jet_entries_at(f, pts, entries, step=steps)
 
 
 def detect_polyharmonic(sigma, max_order, grid, tol, mollifier=None):
@@ -106,7 +121,7 @@ def detect_polyharmonic(sigma, max_order, grid, tol, mollifier=None):
     for orders, step_scale in groups:
         if not orders:
             continue
-        vals = jet_entries_at(f, pts, [(m, m) for m in orders], step_scale=step_scale)
+        vals = _jets(f, pts, [(m, m) for m in orders], step_scale, not sigma.smooth)
         for m in orders:
             r = float(np.max(np.abs(4.0**m * vals[(m, m)])) / scale)
             residuals.append(r)
@@ -117,7 +132,7 @@ def detect_polyharmonic(sigma, max_order, grid, tol, mollifier=None):
 
 def _directional_residuals(sigma, pts, mollifier=None):
     f = sigma.raw if sigma.smooth else (mollifier or _smoothed(sigma))
-    vals = jet_entries_at(f, pts, [(1, 0), (0, 1)], step_scale=0.01)
+    vals = _jets(f, pts, [(1, 0), (0, 1)], 0.01, not sigma.smooth)
     d_res = float(np.max(np.abs(vals[(1, 0)])))
     dbar_res = float(np.max(np.abs(vals[(0, 1)])))
     return d_res, dbar_res
@@ -170,7 +185,8 @@ def detect_polynomial(sigma, max_degree, grid, tol, mollifier=None, deriv_points
     A candidate degree must pass two independent tests: the least-squares fit
     in the monomials z^m zbar^l (m + l <= g) has relative sup residual below
     ``tol``, and the pure derivatives of order g + 1 vanish.  Returns
-    (found, degree_or_None).
+    (found, degree_or_None, fit_residuals, deriv_residuals), with one fit
+    and one derivative residual per degree 0..max_degree.
     """
     pts = points_of(grid)
     f = sigma.raw if sigma.smooth else (mollifier or _smoothed(sigma))
@@ -179,7 +195,7 @@ def detect_polynomial(sigma, max_degree, grid, tol, mollifier=None, deriv_points
     radius = max(1.0, float(np.max(np.abs(pts))))
     dpts = subsample(pts, 60) if deriv_points is None else points_of(deriv_points)
     entries = [(k, 0) for k in range(1, max_degree + 2)] + [(0, k) for k in range(1, max_degree + 2)]
-    jets = jet_entries_at(f, dpts, entries, step_scale=0.02)
+    jets = _jets(f, dpts, entries, 0.02, not sigma.smooth)
     fit_residuals = []
     deriv_residuals = []
     found_degree = None

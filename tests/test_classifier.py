@@ -1,4 +1,7 @@
+import dataclasses
+
 import numpy as np
+import pytest
 
 from cvnnuniv.activations import ActivationSpec, by_name
 from cvnnuniv.classifier import (
@@ -215,3 +218,41 @@ def test_report_json_fields(catalog_reports):
         "version",
     ):
         assert field in doc
+
+
+def _copy(spec, fn=None, **changes):
+    fields = {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
+    fields.update(changes)
+    return ActivationSpec(fn=fn or spec.raw, **fields)
+
+
+def test_mollified_classify_evaluates_sigma_once_per_lattice_argument():
+    # the mollifier has 1264 nodes; evaluating each stencil node's quadrature on its own costs about 6.4e7 points
+    ratio = by_name("ratio")
+    points = []
+
+    def counting(z):
+        points.append(np.size(z))
+        return ratio.raw(z)
+
+    rep = classify(_copy(ratio, fn=counting))
+    assert (rep.shallow_universal, rep.deep_universal) == ("yes", "yes")
+    assert sum(points) <= 6e6
+
+
+@pytest.mark.parametrize("name", ["abs2", "poly_zzbar", "sin", "conj_sin"])
+def test_declaring_a_smooth_activation_nonsmooth_keeps_its_class(name, catalog_reports):
+    # mollifying a smooth function commutes with d, dbar and Delta and keeps polynomials of the same
+    # degree, so a spurious crease on the imaginary axis must not change the classification
+    was = catalog_reports[name]
+    rep = classify(_copy(by_name(name), name=f"{name}_nonsmooth", smooth=False, nonsmooth_set=(line_cut(0.0, 1j),)))
+    for field in (
+        "shallow_universal",
+        "deep_universal",
+        "polyharmonic_order",
+        "polynomial_degree",
+        "holomorphic",
+        "antiholomorphic",
+        "ae_equal_but_discontinuous",
+    ):
+        assert getattr(rep, field) == getattr(was, field), (name, field)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cvnnuniv import wirtinger
 from cvnnuniv.activations import by_name
 from cvnnuniv.errors import StencilSingularityError
 from cvnnuniv.grids import random_points
@@ -160,3 +161,82 @@ def test_jet_entry_at_matches_pointwise():
     batch = jet_entries_at(f, zs, [(1, 1)], step=0.01)[(1, 1)]
     single = np.array([wirtinger_jet(f, complex(z), 1, 1, step=0.01)[(1, 1)] for z in zs])
     assert np.max(np.abs(batch - single)) < 1e-10
+
+
+def _lattice_points(spec, centers, seed, step=4, half=5, reach=700):
+    # square stencils of (2 half + 1)^2 lattice points, ``step`` spacings apart, around random lattice points;
+    # with half=0 the points are scattered, and their windows share no samples
+    rng = np.random.default_rng(seed)
+    a, b = rng.integers(-reach, reach, (2, centers, 1, 1))
+    offs = step * np.arange(-half, half + 1)
+    a, b = np.broadcast_arrays(a + offs[:, None], b + offs[None, :])
+    return (a * spec.spacing + 1j * (b * spec.spacing)).ravel()
+
+
+def _by_nodes(sigma, spec, z):
+    # the node-by-node quadrature in blocks of _CHUNK samples: the off-lattice path
+    out = np.zeros(z.shape, dtype=complex)
+    block = max(1, wirtinger._CHUNK // spec.offsets.size)
+    for start in range(0, z.size, block):
+        samples = sigma.raw(z[start : start + block, None] - spec.offsets[None, :])
+        out[start : start + block] = np.where(np.isfinite(samples), samples, 0.0) @ spec.weights
+    return out
+
+
+def _held_tiles(f):
+    (held,) = [c.cell_contents for c in f.__closure__ if isinstance(c.cell_contents, wirtinger._HeldSamples)]
+    return held.tiles
+
+
+@pytest.mark.parametrize("name", ["ratio", "zlog", "arcsin_principal", "example_4_8"])
+def test_mollify_on_lattice_matches_direct_quadrature(name):
+    sigma = by_name(name)
+    spec = make_mollifier(0.05, 40)
+    z = np.concatenate([_lattice_points(spec, 4, 11), _lattice_points(spec, 200, 12, half=0)])
+    samples = sigma.raw(z[:, None] - spec.offsets[None, :])
+    samples = np.where(np.isfinite(samples), samples, 0.0)
+    err = np.abs(mollify(sigma, spec)(z) - samples @ spec.weights)
+    assert np.all(err <= 1e-13 * (np.abs(samples) @ spec.weights))
+
+
+def test_mollify_off_lattice_is_the_node_quadrature_bit_for_bit():
+    sigma = by_name("zlog")
+    spec = make_mollifier(0.05, 40)
+    z = random_points(0.0, 2.0, 5000, np.random.default_rng(12))[:, 0]
+    got = mollify(sigma, spec)(z)
+    assert np.array_equal(got.view(np.uint64), _by_nodes(sigma, spec, z).view(np.uint64))
+
+
+@pytest.mark.parametrize("name", ["ratio", "abs2"])
+def test_mollify_lattice_value_does_not_depend_on_batch_or_held_samples(name, monkeypatch):
+    # abs2's z * conj(z) is a complex product, which NumPy may round differently in long arrays
+    sigma = by_name(name)
+    spec = make_mollifier(0.05, 40)
+    z = np.concatenate([_lattice_points(spec, 2, 13, step=20, half=6), _lattice_points(spec, 100, 14, half=0)])
+    # p alone samples its own window; inside its stencil (about 8e4 samples at once), and again once held,
+    # it reads the shared samples
+    p = z[60:61]
+    cold = mollify(sigma, spec)(p)
+    f = mollify(sigma, spec)
+    batch = f(z)
+    assert len(_held_tiles(f)) > 0
+    warm = f(p)
+    bits = cold.view(np.uint64)
+    assert np.array_equal(batch[60:61].view(np.uint64), bits)
+    assert np.array_equal(warm.view(np.uint64), bits)
+    assert np.array_equal(f(z[::-1])[::-1].copy().view(np.uint64), batch.view(np.uint64))
+    # a budget of a few tiles drops held samples again and again without moving a bit
+    monkeypatch.setattr(wirtinger, "_HELD", 4 * wirtinger._TILE**2)
+    small = mollify(sigma, spec)
+    assert np.array_equal(small(z).view(np.uint64), batch.view(np.uint64))
+    assert len(_held_tiles(small)) <= 4
+
+
+def test_mollify_holds_samples_under_the_budget():
+    sigma = by_name("ratio")
+    spec = make_mollifier(0.05, 40)
+    f = mollify(sigma, spec)
+    # 80 stencils of 13 x 13 points 20 spacings apart need about 6M samples: more than the budget holds
+    f(_lattice_points(spec, 80, 15, step=20, half=6, reach=4000))
+    tiles = _held_tiles(f)
+    assert 0 < len(tiles) * wirtinger._TILE**2 <= wirtinger._HELD
