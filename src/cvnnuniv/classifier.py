@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .activations import avoid_set
 from .grids import cut_distance, make_grid, points_of, random_points, subsample
-from .wirtinger import jet_entries_at, make_mollifier, mollify, stencil_steps
+from .wirtinger import LatticeMollification, jet_entries_at, make_mollifier, stencil_steps
 
 YES = "yes"
 NO = "no"
@@ -82,21 +82,20 @@ def _scale_of(f, pts):
 
 
 def _smoothed(sigma):
-    return mollify(sigma, _MOLLIFIER)
+    return LatticeMollification(sigma, _MOLLIFIER)
 
 
-def _jets(f, pts, entries, step_scale, mollified):
+def _jets(f, pts, entries, step_scale):
     """Jet entries at ``pts`` with the default steps for ``step_scale``.
 
-    On the mollified path each step is rounded to a whole number of the
-    mollifier's node spacings, so stencils on lattice points stay on the
-    lattice where :func:`mollify` evaluates sigma once per argument.
+    A :class:`LatticeMollification` rounds the steps to its lattice
+    (:meth:`~LatticeMollification.snap_steps`), so stencils on lattice
+    points stay where it evaluates sigma once per argument; any other
+    ``f`` gets the default steps.
     """
-    if not mollified:
+    if not isinstance(f, LatticeMollification):
         return jet_entries_at(f, pts, entries, step_scale=step_scale)
-    spacing = _MOLLIFIER.spacing
-    steps = spacing * np.maximum(1.0, np.round(stencil_steps(pts, step_scale) / spacing))
-    return jet_entries_at(f, pts, entries, step=steps)
+    return jet_entries_at(f, pts, entries, step=f.snap_steps(stencil_steps(pts, step_scale)))
 
 
 def detect_polyharmonic(sigma, max_order, grid, tol, mollifier=None):
@@ -104,7 +103,9 @@ def detect_polyharmonic(sigma, max_order, grid, tol, mollifier=None):
 
     Returns (found, order_or_None, residuals).  Residual r_m is the grid
     maximum of |Delta^m| relative to max(1, sup|sigma|); non-smooth
-    activations are tested through their mollification.
+    activations are tested through ``mollifier``, by default their
+    :class:`LatticeMollification`, which rounds the stencil steps to its
+    lattice; any other mollified function gets the default steps.
     """
     pts = points_of(grid)
     if max_order < 1:
@@ -121,7 +122,7 @@ def detect_polyharmonic(sigma, max_order, grid, tol, mollifier=None):
     for orders, step_scale in groups:
         if not orders:
             continue
-        vals = _jets(f, pts, [(m, m) for m in orders], step_scale, not sigma.smooth)
+        vals = _jets(f, pts, [(m, m) for m in orders], step_scale)
         for m in orders:
             r = float(np.max(np.abs(4.0**m * vals[(m, m)])) / scale)
             residuals.append(r)
@@ -132,7 +133,7 @@ def detect_polyharmonic(sigma, max_order, grid, tol, mollifier=None):
 
 def _directional_residuals(sigma, pts, mollifier=None):
     f = sigma.raw if sigma.smooth else (mollifier or _smoothed(sigma))
-    vals = _jets(f, pts, [(1, 0), (0, 1)], 0.01, not sigma.smooth)
+    vals = _jets(f, pts, [(1, 0), (0, 1)], 0.01)
     d_res = float(np.max(np.abs(vals[(1, 0)])))
     dbar_res = float(np.max(np.abs(vals[(0, 1)])))
     return d_res, dbar_res
@@ -195,7 +196,7 @@ def detect_polynomial(sigma, max_degree, grid, tol, mollifier=None, deriv_points
     radius = max(1.0, float(np.max(np.abs(pts))))
     dpts = subsample(pts, 60) if deriv_points is None else points_of(deriv_points)
     entries = [(k, 0) for k in range(1, max_degree + 2)] + [(0, k) for k in range(1, max_degree + 2)]
-    jets = _jets(f, dpts, entries, 0.02, not sigma.smooth)
+    jets = _jets(f, dpts, entries, 0.02)
     fit_residuals = []
     deriv_residuals = []
     found_degree = None

@@ -251,7 +251,7 @@ def make_mollifier(epsilon, quadrature_points_per_axis=64):
 
 
 _CHUNK = 4_000_000
-# samples of sigma one lattice-evaluated mollification may hold, in complex entries
+# samples of sigma one LatticeMollification may hold, in complex entries
 _HELD = _CHUNK
 # held samples live in _TILE x _TILE tiles; points are processed in _GROUP x _GROUP cells
 _TILE = 64
@@ -278,22 +278,78 @@ def _lattice_index(x, spacing):
     return on, np.where(on, idx, 0.0).astype(np.int64)
 
 
-class _HeldSamples:
-    """sigma at the canonical arguments ``((u + frac) + i (v + frac)) * spacing``, held tile by tile.
+def _finite(samples):
+    """``samples`` with every non-finite entry set to 0."""
+    bad = ~np.isfinite(samples)
+    if bad.any():
+        samples = np.where(bad, 0.0, samples)
+    return samples
 
-    The quadrature node (k, l) of the spec sits at ``(k - c) + i (l - c)``
-    spacings from 0, with ``c = (q - 1) / 2``, so the mollified value at the
-    lattice point ``(A + i B) * spacing`` is the weighted sum of the samples
-    ``(u, v) = (A + floor(c) - k, B + floor(c) - l)`` with ``frac = c -
-    floor(c)``.  Every sample is a pure function of (u, v), so holding or
-    dropping samples never changes a value; the tiles held stay under
-    ``_HELD`` entries.
+
+def _tile_slice(i, j, size):
+    return np.s_[i * size : (i + 1) * size, j * size : (j + 1) * size]
+
+
+def _by_nodes(sigma, spec, flat):
+    """The spec's quadrature at the points ``flat``, node by node, in blocks of about _CHUNK samples."""
+    out = np.zeros(flat.shape, dtype=complex)
+    block = max(1, _CHUNK // max(1, spec.offsets.size))
+    for start in range(0, flat.size, block):
+        zz = flat[start : start + block]
+        out[start : start + block] = _finite(sigma.raw(zz[:, None] - spec.offsets[None, :])) @ spec.weights
+    return out
+
+
+def mollify(sigma, spec):
+    """Smooth ``sigma`` by discrete convolution with the bump kernel.
+
+    Returns a vectorized function ``z -> (eta_eps * sigma)(z)`` evaluated by
+    the spec's quadrature, node by node at every point.  Non-finite samples
+    of ``sigma`` (declared singularities form a null set) are skipped.
+    :class:`LatticeMollification` is the same function with sigma evaluated
+    once per argument of the spec's lattice.
+    """
+
+    def smoothed(z):
+        z = np.asarray(z, dtype=complex)
+        return _by_nodes(sigma, spec, z.ravel()).reshape(z.shape)
+
+    return smoothed
+
+
+class LatticeMollification:
+    """``mollify(sigma, spec)`` with sigma evaluated once per argument of the spec's lattice.
+
+    Lattice contract: the quadrature nodes of :func:`make_mollifier` sit half
+    a spacing off the lattice ``spacing * Z^2`` (on it for odd q), with
+    ``spacing = 2 epsilon / q``.  At a point of that lattice every argument
+    ``z - offset`` is a canonical argument ``((u + frac) + i (v + frac)) *
+    spacing``, ``frac`` being 1/2 or 0.  Node (k, l) sits at ``(k - c) + i (l
+    - c)`` spacings from 0, with ``c = (q - 1) / 2``, so the value at ``(A + i
+    B) * spacing`` is the weighted sum of the samples ``(u, v) = (A +
+    floor(c) - k, B + floor(c) - l)``.  sigma is evaluated once per canonical
+    argument that the points need, and the samples are held in tiles for
+    later calls until ``_HELD`` of them are held; no tile is dropped, so a
+    sweep over more samples than that keeps reusing the first ones.  Every
+    sample is a pure function of (u, v) and every value one fixed-length
+    sum, so a value has the same bits alone, in any batch, and whether or
+    not its samples were held before.  Every other point takes the
+    node-by-node quadrature of :func:`mollify`.
+
+    Step rule: stencils on lattice points stay on the lattice when each step
+    is a whole number of spacings, which :meth:`snap_steps` rounds to.  On
+    the classifier's default steps (:func:`stencil_steps`) that leaves the
+    levels 1, 2 and 4 unchanged and moves the sqrt(2) levels by at most 6%.
+    The steps are not held below epsilon: the classifier's Delta^3 / Delta^4
+    stencils step by up to 0.035 * 4 = 0.14 = 2.8 epsilon on the radius-2
+    grid.
     """
 
     def __init__(self, sigma, spec):
         q = spec.quadrature_points_per_axis
         c = (q - 1) / 2.0
         self.sigma = sigma
+        self.spec = spec
         self.spacing = spec.spacing
         self.lead = math.floor(c)
         self.frac = c - self.lead
@@ -308,29 +364,49 @@ class _HeldSamples:
         self.row_hi = np.array([l[k == r].max() for r in self.rows])
         self.tiles = {}
 
-    def values(self, a, b):
-        """Mollified values at the lattice points ``(a + i b) * spacing`` (int64 arrays)."""
-        u = a + self.lead
-        v = b + self.lead
+    def __call__(self, z):
+        z = np.asarray(z, dtype=complex)
+        flat = z.ravel()
+        on_re, a = _lattice_index(flat.real, self.spacing)
+        on_im, b = _lattice_index(flat.imag, self.spacing)
+        on = on_re & on_im & self.usable
+        if not on.any():
+            return _by_nodes(self.sigma, self.spec, flat).reshape(z.shape)
+        out = np.empty(flat.shape, dtype=complex)
+        out[on] = self._values(a[on] + self.lead, b[on] + self.lead)
+        if not on.all():
+            out[~on] = _by_nodes(self.sigma, self.spec, flat[~on])
+        return out.reshape(z.shape)
+
+    def snap_steps(self, steps):
+        """``steps`` rounded to whole numbers of spacings, at least one (unchanged when the nodes are off any lattice)."""
+        if not self.usable:
+            return steps
+        return self.spacing * np.maximum(1.0, np.round(np.asarray(steps, dtype=float) / self.spacing))
+
+    def _values(self, u, v):
+        """Values at the sample-space window corners ``(u, v)`` (int64 arrays), one _GROUP x _GROUP cell at a time."""
         cell = (u // _GROUP) * 2**32 + v // _GROUP
         order = np.argsort(cell, kind="stable")
         bounds = np.flatnonzero(np.diff(cell[order])) + 1
-        out = np.empty(a.shape, dtype=complex)
+        out = np.empty(u.shape, dtype=complex)
         for sel in np.split(order, bounds):
             out[sel] = self._cell_values(u[sel], v[sel])
         return out
 
     def _cell_values(self, u, v):
-        """Mollified values at the sample-space window corners ``(u, v)`` of one cell."""
+        """Values at the window corners ``(u, v)`` of one cell, read from one box of samples."""
         T, B = _TILE, _BLOCK
         tu = (int(u.min() - self.k.max()) // T, int(u.max() - self.k.min()) // T)
         tv = (int(v.min() - self.l.max()) // T, int(v.max() - self.l.min()) // T)
         u0, v0 = tu[0] * T, tv[0] * T
         height, width = (tu[1] - tu[0] + 1) * T, (tv[1] - tv[0] + 1) * T
-        tiles = [(i, j) for i in range(tu[0], tu[1] + 1) for j in range(tv[0], tv[1] + 1)]
+        tiles = ((i, j) for i in range(tu[0], tu[1] + 1) for j in range(tv[0], tv[1] + 1))
         held = [(i - tu[0], j - tv[0], self.tiles[(i, j)]) for i, j in tiles if (i, j) in self.tiles]
+        box = np.zeros((height, width), dtype=complex)
         have = np.zeros((height // B, width // B), dtype=bool)
-        for i, j, (_, tile_have) in held:
+        for i, j, (tile_values, tile_have) in held:
+            box[_tile_slice(i, j, T)] = tile_values
             have[_tile_slice(i, j, T // B)] = tile_have
         # the blocks the windows need: each node row is one interval of blocks, marked by a running sum
         rows = ((u - u0)[:, None] - self.rows) // B
@@ -340,12 +416,6 @@ class _HeldSamples:
         marks = np.bincount((rows * stride + first).ravel(), minlength=(height // B) * stride)
         marks -= np.bincount((rows * stride + last + 1).ravel(), minlength=(height // B) * stride)
         missing = (np.cumsum(marks.reshape(height // B, stride), axis=1)[:, :-1] > 0) & ~have
-        if np.count_nonzero(missing) * B * B * 2 >= u.size * self.weights.size:
-            # the windows share too few samples to pay for the box: sample each window on its own
-            return self._windows(u, v)
-        box = np.zeros((height, width), dtype=complex)
-        for i, j, (tile_values, _) in held:
-            box[_tile_slice(i, j, T)] = tile_values
         if missing.any():
             bu, bv = np.nonzero(missing)
             offs = np.arange(B)
@@ -354,23 +424,18 @@ class _HeldSamples:
             args.imag = ((bv * B + v0)[:, None, None] + offs[None, :] + self.frac) * self.spacing
             box.reshape(height // B, B, width // B, B)[bu, :, bv, :] = self._sample(args)
             have |= missing
-            self._hold(box, have, missing, tiles, tu[0], tv[0])
+            self._hold(box, have, missing, tu[0], tv[0])
         flat = box.ravel()
+        corners = (u - u0) * width + (v - v0)
         window = -(self.k * width + self.l)
-        return self._sums(lambda s: flat[((u[s] - u0) * width + (v[s] - v0))[:, None] + window], u.size)
-
-    def _windows(self, u, v):
-        """Mollified values at the window corners ``(u, v)``, each window sampled on its own."""
-        uf, vf = u + self.frac, v + self.frac
-
-        def samples(s):
-            args = np.empty((uf[s].size, self.k.size), dtype=complex)
-            np.subtract(uf[s, None], self.k, out=args.real)
-            np.subtract(vf[s, None], self.l, out=args.imag)
-            args *= self.spacing
-            return self._sample(args)
-
-        return self._sums(samples, u.size)
+        # one fixed-length weighted sum per point (a BLAS gemv may round a row differently in another batch)
+        out = np.empty(u.size, dtype=complex)
+        chunk = max(1, (_CHUNK // 16) // self.weights.size)
+        for s in range(0, u.size, chunk):
+            samples = flat[corners[s : s + chunk, None] + window]
+            samples *= self.weights
+            out[s : s + chunk] = samples.sum(axis=1)
+        return out
 
     def _sample(self, args):
         """sigma at canonical ``args``, non-finite values set to 0, evaluated in pieces of exactly _PIECE entries."""
@@ -383,88 +448,15 @@ class _HeldSamples:
             out[s : s + _PIECE] = self.sigma.raw(full)[: piece.size]
         return _finite(out).reshape(args.shape)
 
-    def _sums(self, window_samples, n):
-        """Weighted window sums, one fixed-length sum per point, so a value does not depend on the batch."""
-        out = np.empty(n, dtype=complex)
-        chunk = max(1, (_CHUNK // 16) // self.weights.size)
-        for start in range(0, n, chunk):
-            samples = window_samples(slice(start, start + chunk))
-            samples *= self.weights
-            out[start : start + chunk] = samples.sum(axis=1)
-        return out
-
-    def _hold(self, box, have, missing, tiles, i0, j0):
-        """Keep the box's tiles that gained samples; drop every held tile first if the budget would overflow."""
+    def _hold(self, box, have, missing, i0, j0):
+        """Keep the box's tiles that gained samples, adding new tiles only while the budget has room."""
         b = _TILE // _BLOCK
-        gained = [(i, j) for i, j in tiles if missing[_tile_slice(i - i0, j - j0, b)].any()]
-        if (len(self.tiles) + sum(t not in self.tiles for t in gained)) * _TILE * _TILE > _HELD:
-            self.tiles.clear()
-            gained = [(i, j) for i, j in tiles if have[_tile_slice(i - i0, j - j0, b)].any()][: _HELD // _TILE**2]
-        for i, j in gained:
-            self.tiles[(i, j)] = (box[_tile_slice(i - i0, j - j0, _TILE)].copy(), have[_tile_slice(i - i0, j - j0, b)].copy())
-
-
-def _finite(samples):
-    """``samples`` with every non-finite entry set to 0."""
-    bad = ~np.isfinite(samples)
-    if bad.any():
-        samples = np.where(bad, 0.0, samples)
-    return samples
-
-
-def _tile_slice(i, j, size):
-    return np.s_[i * size : (i + 1) * size, j * size : (j + 1) * size]
-
-
-def mollify(sigma, spec):
-    """Smooth ``sigma`` by discrete convolution with the bump kernel.
-
-    Returns a vectorized function ``z -> (eta_eps * sigma)(z)`` evaluated by
-    the spec's quadrature.  Non-finite samples of ``sigma`` (declared
-    singularities form a null set) are skipped.
-
-    Lattice contract: the quadrature nodes of :func:`make_mollifier` sit half
-    a spacing off the lattice ``spacing * Z^2`` (on it for odd q), with
-    ``spacing = 2 epsilon / q``.  At a point ``z`` of that lattice every
-    argument ``z - offset`` is a canonical argument ``((a + 1/2) + i (b +
-    1/2)) * spacing``; sigma is evaluated once per canonical argument that
-    the points need, and the samples are held for later calls, at most
-    ``_HELD`` of them; lattice points whose windows share few samples
-    sample each window on their own.  A value is the same weighted sum of
-    the same samples alone, in any batch, and whether or not its samples
-    were held before.  Every other point takes the node-by-node quadrature.
-
-    Step rule: :mod:`classifier` keeps its stencils on the lattice by
-    rounding each default step (:func:`stencil_steps`) to a whole number of
-    spacings, which leaves the steps at the levels 1, 2 and 4 unchanged and
-    moves those at the sqrt(2) levels by at most 6%.  The steps are not held
-    below epsilon: its Delta^3 / Delta^4 stencils step by up to 0.035 * 4 =
-    0.14 = 2.8 epsilon on the radius-2 grid.
-    """
-    offsets = spec.offsets
-    weights = spec.weights
-    held = _HeldSamples(sigma, spec)
-
-    def by_nodes(flat):
-        out = np.zeros(flat.shape, dtype=complex)
-        block = max(1, _CHUNK // max(1, offsets.size))
-        for start in range(0, flat.size, block):
-            zz = flat[start : start + block]
-            out[start : start + block] = _finite(sigma.raw(zz[:, None] - offsets[None, :])) @ weights
-        return out
-
-    def smoothed(z):
-        z = np.asarray(z, dtype=complex)
-        flat = z.ravel()
-        on_re, a = _lattice_index(flat.real, held.spacing)
-        on_im, b = _lattice_index(flat.imag, held.spacing)
-        on = on_re & on_im & held.usable
-        if not on.any():
-            return by_nodes(flat).reshape(z.shape)
-        out = np.empty(flat.shape, dtype=complex)
-        out[on] = held.values(a[on], b[on])
-        if not on.all():
-            out[~on] = by_nodes(flat[~on])
-        return out.reshape(z.shape)
-
-    return smoothed
+        gained = missing.reshape(missing.shape[0] // b, b, missing.shape[1] // b, b).any(axis=(1, 3))
+        room = _HELD // _TILE**2 - len(self.tiles)
+        for i, j in zip(*np.nonzero(gained)):
+            key = (int(i) + i0, int(j) + j0)
+            if key not in self.tiles:
+                if room <= 0:
+                    continue
+                room -= 1
+            self.tiles[key] = (box[_tile_slice(i, j, _TILE)].copy(), have[_tile_slice(i, j, b)].copy())

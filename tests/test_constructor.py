@@ -115,6 +115,33 @@ def test_find_active_point_cases():
     assert active.tolist() == [False, True, True]
 
 
+def test_mollified_search_rho_is_the_node_quadrature_bit_for_bit(monkeypatch):
+    # the search grid plus the dilation lattice puts some samples on the synthesis mollifier's own
+    # lattice (spacing 2 eps / q = 1/120); every sample must still be the node-by-node quadrature
+    zlog = by_name("zlog")
+    nodes, tables = _wirtinger_tables([(m, ell) for m in range(5) for ell in range(5) if 1 <= m + ell <= 4])
+    search = _search_grid(zlog)
+    calls = []
+
+    def recording(f, cand, *rest):
+        calls.append((f, cand, constructor_best(f, cand, *rest)))
+        return calls[-1][2]
+
+    constructor_best = constructor._best_candidate
+    monkeypatch.setattr(constructor, "_best_candidate", recording)
+    find_active_point(zlog, nodes, tables, search)
+    ((smoothed, cand, (_, theta, rho, _)),) = [call for call in calls if call[0] != zlog.raw]
+    spec = make_mollifier(constructor.SYNTH_MOLLIFIER_EPS, constructor.SYNTH_MOLLIFIER_Q)
+    z = cand[:, None] + nodes[None, :]
+    lattice = z / spec.spacing
+    assert np.any((np.abs(lattice.real - np.rint(lattice.real)) < 1e-9) & (np.abs(lattice.imag - np.rint(lattice.imag)) < 1e-9))
+    samples = zlog.raw(z.ravel()[:, None] - spec.offsets[None, :])
+    samples = (np.where(np.isfinite(samples), samples, 0.0) @ spec.weights).reshape(z.shape)
+    assert np.array_equal(smoothed(z).view(np.uint64), samples.view(np.uint64))
+    want = (samples @ tables.T)[list(cand).index(theta)]
+    assert np.array_equal(rho.view(np.uint64), want.view(np.uint64))
+
+
 def test_dilation_stencil_matches_jet_entries():
     # extraction's tables and the classifier's jet sum one Wirtinger expansion in two
     # orders; on one lattice they must agree to the extraction noise floor at the steps it uses

@@ -6,6 +6,7 @@ from cvnnuniv.activations import by_name
 from cvnnuniv.errors import StencilSingularityError
 from cvnnuniv.grids import random_points
 from cvnnuniv.wirtinger import (
+    LatticeMollification,
     jet_entries_at,
     laplacian_power,
     make_mollifier,
@@ -174,18 +175,13 @@ def _lattice_points(spec, centers, seed, step=4, half=5, reach=700):
 
 
 def _by_nodes(sigma, spec, z):
-    # the node-by-node quadrature in blocks of _CHUNK samples: the off-lattice path
+    # the node-by-node quadrature in blocks of _CHUNK samples: mollify, and the off-lattice path
     out = np.zeros(z.shape, dtype=complex)
     block = max(1, wirtinger._CHUNK // spec.offsets.size)
     for start in range(0, z.size, block):
         samples = sigma.raw(z[start : start + block, None] - spec.offsets[None, :])
         out[start : start + block] = np.where(np.isfinite(samples), samples, 0.0) @ spec.weights
     return out
-
-
-def _held_tiles(f):
-    (held,) = [c.cell_contents for c in f.__closure__ if isinstance(c.cell_contents, wirtinger._HeldSamples)]
-    return held.tiles
 
 
 @pytest.mark.parametrize("name", ["ratio", "zlog", "arcsin_principal", "example_4_8"])
@@ -195,48 +191,61 @@ def test_mollify_on_lattice_matches_direct_quadrature(name):
     z = np.concatenate([_lattice_points(spec, 4, 11), _lattice_points(spec, 200, 12, half=0)])
     samples = sigma.raw(z[:, None] - spec.offsets[None, :])
     samples = np.where(np.isfinite(samples), samples, 0.0)
-    err = np.abs(mollify(sigma, spec)(z) - samples @ spec.weights)
+    err = np.abs(LatticeMollification(sigma, spec)(z) - samples @ spec.weights)
     assert np.all(err <= 1e-13 * (np.abs(samples) @ spec.weights))
 
 
-def test_mollify_off_lattice_is_the_node_quadrature_bit_for_bit():
+def test_lattice_mollification_off_lattice_is_the_node_quadrature_bit_for_bit():
     sigma = by_name("zlog")
     spec = make_mollifier(0.05, 40)
     z = random_points(0.0, 2.0, 5000, np.random.default_rng(12))[:, 0]
-    got = mollify(sigma, spec)(z)
+    got = LatticeMollification(sigma, spec)(z)
     assert np.array_equal(got.view(np.uint64), _by_nodes(sigma, spec, z).view(np.uint64))
 
 
+def test_mollify_is_the_node_quadrature_bit_for_bit_on_the_lattice_too():
+    sigma = by_name("zlog")
+    spec = make_mollifier(0.05, 12)
+    z = _lattice_points(spec, 30, 16)
+    assert np.array_equal(mollify(sigma, spec)(z).view(np.uint64), _by_nodes(sigma, spec, z).view(np.uint64))
+
+
 @pytest.mark.parametrize("name", ["ratio", "abs2"])
-def test_mollify_lattice_value_does_not_depend_on_batch_or_held_samples(name, monkeypatch):
+def test_lattice_mollification_value_does_not_depend_on_batch_or_held_samples(name, monkeypatch):
     # abs2's z * conj(z) is a complex product, which NumPy may round differently in long arrays
     sigma = by_name(name)
     spec = make_mollifier(0.05, 40)
     z = np.concatenate([_lattice_points(spec, 2, 13, step=20, half=6), _lattice_points(spec, 100, 14, half=0)])
-    # p alone samples its own window; inside its stencil (about 8e4 samples at once), and again once held,
-    # it reads the shared samples
+    # p alone samples only its own window; inside its stencil (about 8e4 samples at once), and again once
+    # held, it reads samples shared with its neighbours
     p = z[60:61]
-    cold = mollify(sigma, spec)(p)
-    f = mollify(sigma, spec)
+    cold = LatticeMollification(sigma, spec)(p)
+    f = LatticeMollification(sigma, spec)
     batch = f(z)
-    assert len(_held_tiles(f)) > 0
+    assert len(f.tiles) > 0
     warm = f(p)
     bits = cold.view(np.uint64)
     assert np.array_equal(batch[60:61].view(np.uint64), bits)
     assert np.array_equal(warm.view(np.uint64), bits)
     assert np.array_equal(f(z[::-1])[::-1].copy().view(np.uint64), batch.view(np.uint64))
-    # a budget of a few tiles drops held samples again and again without moving a bit
+    # a budget of a few tiles holds only the first samples, without moving a bit
     monkeypatch.setattr(wirtinger, "_HELD", 4 * wirtinger._TILE**2)
-    small = mollify(sigma, spec)
-    assert np.array_equal(small(z).view(np.uint64), batch.view(np.uint64))
-    assert len(_held_tiles(small)) <= 4
+    small = LatticeMollification(sigma, spec)
+    for _ in range(2):
+        assert np.array_equal(small(z).view(np.uint64), batch.view(np.uint64))
+        assert 0 < len(small.tiles) <= 4
 
 
-def test_mollify_holds_samples_under_the_budget():
+def test_lattice_mollification_holds_samples_under_the_budget():
     sigma = by_name("ratio")
     spec = make_mollifier(0.05, 40)
-    f = mollify(sigma, spec)
+    f = LatticeMollification(sigma, spec)
     # 80 stencils of 13 x 13 points 20 spacings apart need about 6M samples: more than the budget holds
     f(_lattice_points(spec, 80, 15, step=20, half=6, reach=4000))
-    tiles = _held_tiles(f)
-    assert 0 < len(tiles) * wirtinger._TILE**2 <= wirtinger._HELD
+    assert 0 < len(f.tiles) * wirtinger._TILE**2 <= wirtinger._HELD
+
+
+def test_snap_steps_rounds_to_whole_spacings():
+    f = LatticeMollification(by_name("ratio"), make_mollifier(0.05, 40))
+    steps = np.array([0.01, 0.01 * np.sqrt(2), 0.035 * np.sqrt(2), 1e-4])
+    assert np.allclose(f.snap_steps(steps) / 0.0025, [4, 6, 20, 1], rtol=0, atol=1e-12)
