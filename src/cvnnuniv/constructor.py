@@ -34,7 +34,7 @@ from .network import (
     eval_ridge,
     eval_shallow,
 )
-from .wirtinger import fd_weights, make_mollifier, mollify, stencil_halfwidth, wirtinger_terms
+from .wirtinger import make_mollifier, mollify, stencil_halfwidth, stencil_weights, wirtinger_terms
 
 JET_LIMIT = 7
 # mollifier used when extraction must cross a non-smooth set
@@ -115,12 +115,12 @@ def _wirtinger_tables(monomials):
     step = fd_step_for(K)
     n = stencil_halfwidth(K)
     offs = np.arange(-n, n + 1)
-    wx = [fd_weights(a, offs * step) for a in range(K + 1)]
+    w = stencil_weights(n, step, K)
     tables = np.zeros((len(monomials), 2 * n + 1, 2 * n + 1), dtype=complex)
     for table, (m, ell) in zip(tables, monomials):
         # one outer product per expansion term, in expansion order: grouping equal (a, b) first rounds differently
         for a, b, lam in wirtinger_terms(m, ell):
-            table += lam * np.outer(wx[a], wx[b])
+            table += lam * np.outer(w[:, a], w[:, b])
     nodes = step * (offs[:, None] + 1j * offs[None, :])
     return nodes.ravel(), tables.reshape(len(monomials), -1)
 

@@ -14,6 +14,7 @@ compactly supported bump kernel so the stencils above apply.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -22,10 +23,13 @@ from .errors import StencilSingularityError
 
 
 def fd_weights(order, offsets):
-    """Finite-difference weights for the ``order``-th derivative at 0.
+    """Finite-difference weights at 0 for every derivative order up to ``order``.
 
     Classic Fornberg recursion on arbitrary nodes; ``offsets`` are the node
-    positions (already scaled by the step).
+    positions (already scaled by the step).  Column a of the returned
+    (nodes, order + 1) table holds the weights of the a-th derivative.
+    Column k is computed from columns k and k - 1 alone, so it has the same
+    bits for any ``order`` >= k.
     """
     x = np.asarray(offsets, dtype=float)
     n = x.size
@@ -52,7 +56,19 @@ def fd_weights(order, offsets):
                 c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
             c[j, 0] = c4 * c[j, 0] / c3
         c1 = c2
-    return c[:, m]
+    return c
+
+
+@functools.lru_cache(maxsize=1024)
+def stencil_weights(halfwidth, step, order):
+    """Read-only :func:`fd_weights` table on the nodes ``step * (-halfwidth .. halfwidth)``.
+
+    Memoized, so each (halfwidth, step, order) runs the recursion once; the
+    bound only keeps callers with ever new steps from growing the memo.
+    """
+    table = fd_weights(order, np.arange(-halfwidth, halfwidth + 1) * step)
+    table.flags.writeable = False
+    return table
 
 
 def stencil_halfwidth(total_order):
@@ -169,7 +185,6 @@ def jet_entries_at(f, zs, entries, step=None, step_scale=None):
     flat_h = hs.ravel()
     order = np.argsort(flat_h, kind="stable")
     idx = 0
-    offs = np.arange(-n, n + 1)
     while idx < flat_z.size:
         h = flat_h[order[idx]]
         j = idx
@@ -177,13 +192,13 @@ def jet_entries_at(f, zs, entries, step=None, step_scale=None):
             j += 1
         sel = order[idx:j]
         vals = _stencil_samples(f, flat_z[sel], n, h)
-        w = [fd_weights(a, offs * h) for a in range(K + 1)]
+        w = stencil_weights(n, float(h), K)
         partial_cache = {}
         for e in entries:
             acc = np.zeros(sel.shape, dtype=complex)
             for (a, b), coeff in coeffs[e].items():
                 if (a, b) not in partial_cache:
-                    partial_cache[(a, b)] = np.einsum("i,nij,j->n", w[a], vals, w[b])
+                    partial_cache[(a, b)] = np.einsum("i,nij,j->n", w[:, a], vals, w[:, b])
                 acc += coeff * partial_cache[(a, b)]
             out[e].ravel()[sel] = acc
         idx = j
@@ -251,7 +266,7 @@ def make_mollifier(epsilon, quadrature_points_per_axis=64):
 
 
 _CHUNK = 4_000_000
-# samples of sigma one LatticeMollification may hold, in complex entries
+# samples of sigma and mollified values one LatticeMollification may hold, in complex entries
 _HELD = _CHUNK
 # held samples live in _TILE x _TILE tiles; points are processed in _GROUP x _GROUP cells
 _TILE = 64
@@ -267,6 +282,8 @@ _PIECE = 4096
 _ON_LATTICE = 1e-9
 # largest |z / spacing| of a lattice point
 _LATTICE_REACH = 2.0**31
+# the held keys and values of a cell that holds none
+_NONE_HELD = (np.empty(0, dtype=np.int64), np.empty(0, dtype=complex))
 
 
 def _lattice_index(x, spacing):
@@ -328,13 +345,17 @@ class LatticeMollification:
     - c)`` spacings from 0, with ``c = (q - 1) / 2``, so the value at ``(A + i
     B) * spacing`` is the weighted sum of the samples ``(u, v) = (A +
     floor(c) - k, B + floor(c) - l)``.  sigma is evaluated once per canonical
-    argument that the points need, and the samples are held in tiles for
-    later calls until ``_HELD`` of them are held; no tile is dropped, so a
-    sweep over more samples than that keeps reusing the first ones.  Every
-    sample is a pure function of (u, v) and every value one fixed-length
-    sum, so a value has the same bits alone, in any batch, and whether or
-    not its samples were held before.  Every other point takes the
-    node-by-node quadrature of :func:`mollify`.
+    argument that the points need, and each value is formed once per lattice
+    point: a point asked for twice in one call, or again in a later call, is
+    read back from the held values (sorted keys and values per cell of
+    points).  Samples (in tiles) and values are held together until
+    ``_HELD`` entries are held; none is dropped and none is added once the
+    budget is full, so a sweep over more than that keeps reusing the first
+    ones and forms the rest anew.  Every sample is a pure function of (u, v)
+    and every value one fixed-length sum, so a value has the same bits
+    alone, in any batch, and whether or not it or its samples were held
+    before.  Every other point takes the node-by-node quadrature of
+    :func:`mollify`.
 
     Step rule: stencils on lattice points stay on the lattice when each step
     is a whole number of spacings, which :meth:`snap_steps` rounds to.  On
@@ -363,6 +384,9 @@ class LatticeMollification:
         self.row_lo = np.array([l[k == r].min() for r in self.rows])
         self.row_hi = np.array([l[k == r].max() for r in self.rows])
         self.tiles = {}
+        # held values per cell: sorted corner keys and their values
+        self.values = {}
+        self.held_values = 0
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
@@ -385,13 +409,33 @@ class LatticeMollification:
         return self.spacing * np.maximum(1.0, np.round(np.asarray(steps, dtype=float) / self.spacing))
 
     def _values(self, u, v):
-        """Values at the sample-space window corners ``(u, v)`` (int64 arrays), one _GROUP x _GROUP cell at a time."""
-        cell = (u // _GROUP) * 2**32 + v // _GROUP
+        """Values at the sample-space window corners ``(u, v)`` (int64 arrays), one _GROUP x _GROUP cell at a time.
+
+        Each distinct corner is formed once: a held value is read back, and
+        only new corners go to :meth:`_cell_values`.
+        """
+        cu, cv = u // _GROUP, v // _GROUP
+        # corners within a cell are keyed by their offset from its first corner, so no key overflows
+        local = (u - cu * _GROUP) * _GROUP + (v - cv * _GROUP)
+        cell = cu * 2**32 + cv
         order = np.argsort(cell, kind="stable")
         bounds = np.flatnonzero(np.diff(cell[order])) + 1
         out = np.empty(u.shape, dtype=complex)
         for sel in np.split(order, bounds):
-            out[sel] = self._cell_values(u[sel], v[sel])
+            at = (int(cu[sel[0]]), int(cv[sel[0]]))
+            keys, inverse = np.unique(local[sel], return_inverse=True)
+            held_keys, held_values = self.values.get(at, _NONE_HELD)
+            pos = np.searchsorted(held_keys, keys)
+            found = pos < held_keys.size
+            found[found] = held_keys[pos[found]] == keys[found]
+            values = np.empty(keys.size, dtype=complex)
+            values[found] = held_values[pos[found]]
+            new = ~found
+            if new.any():
+                fresh = keys[new]
+                values[new] = self._cell_values(fresh // _GROUP + at[0] * _GROUP, fresh % _GROUP + at[1] * _GROUP)
+                self._hold_values(at, pos[new], fresh, values[new])
+            out[sel] = values[inverse]
         return out
 
     def _cell_values(self, u, v):
@@ -448,11 +492,21 @@ class LatticeMollification:
             out[s : s + _PIECE] = self.sigma.raw(full)[: piece.size]
         return _finite(out).reshape(args.shape)
 
+    def _hold_values(self, at, where, keys, values):
+        """Insert a cell's new values at their sorted places ``where``, first keys first, while the budget has room."""
+        take = min(keys.size, _HELD - _TILE**2 * len(self.tiles) - self.held_values)
+        if take <= 0:
+            return
+        held_keys, held_values = self.values.get(at, _NONE_HELD)
+        where = where[:take]
+        self.values[at] = (np.insert(held_keys, where, keys[:take]), np.insert(held_values, where, values[:take]))
+        self.held_values += take
+
     def _hold(self, box, have, missing, i0, j0):
         """Keep the box's tiles that gained samples, adding new tiles only while the budget has room."""
         b = _TILE // _BLOCK
         gained = missing.reshape(missing.shape[0] // b, b, missing.shape[1] // b, b).any(axis=(1, 3))
-        room = _HELD // _TILE**2 - len(self.tiles)
+        room = (_HELD - self.held_values) // _TILE**2 - len(self.tiles)
         for i, j in zip(*np.nonzero(gained)):
             key = (int(i) + i0, int(j) + j0)
             if key not in self.tiles:

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from cvnnuniv import wirtinger
 from cvnnuniv.activations import ActivationSpec, by_name
 from cvnnuniv.classifier import (
     ClassifierConfig,
@@ -238,6 +239,33 @@ def test_mollified_classify_evaluates_sigma_once_per_lattice_argument():
     rep = classify(_copy(ratio, fn=counting))
     assert (rep.shallow_universal, rep.deep_universal) == ("yes", "yes")
     assert sum(points) <= 6e6
+
+
+def test_mollified_classify_forms_one_sum_per_distinct_lattice_point(monkeypatch):
+    # a lattice value is one 1264-term sum; every value the classifier asks for again is read back
+    lattice = wirtinger.LatticeMollification
+    instances, points, sums = set(), set(), []
+    call, cell_values = lattice.__call__, lattice._cell_values
+
+    def counted_call(self, z):
+        flat = np.asarray(z, dtype=complex).ravel()
+        on_re, a = wirtinger._lattice_index(flat.real, self.spacing)
+        on_im, b = wirtinger._lattice_index(flat.imag, self.spacing)
+        assert np.all(on_re & on_im)
+        instances.add(id(self))
+        points.update(zip(a.tolist(), b.tolist()))
+        return call(self, z)
+
+    def counted_cell_values(self, u, v):
+        assert self.weights.size == 1264
+        sums.append(u.size)
+        return cell_values(self, u, v)
+
+    monkeypatch.setattr(lattice, "__call__", counted_call)
+    monkeypatch.setattr(lattice, "_cell_values", counted_cell_values)
+    classify(by_name("ratio"))
+    assert len(instances) == 1
+    assert sum(sums) == len(points)
 
 
 @pytest.mark.parametrize("name", ["abs2", "poly_zzbar", "sin", "conj_sin"])

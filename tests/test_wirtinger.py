@@ -7,10 +7,15 @@ from cvnnuniv.errors import StencilSingularityError
 from cvnnuniv.grids import random_points
 from cvnnuniv.wirtinger import (
     LatticeMollification,
+    default_step,
+    fd_weights,
     jet_entries_at,
     laplacian_power,
     make_mollifier,
     mollify,
+    stencil_halfwidth,
+    stencil_steps,
+    stencil_weights,
     wirtinger_jet,
 )
 
@@ -242,7 +247,104 @@ def test_lattice_mollification_holds_samples_under_the_budget():
     f = LatticeMollification(sigma, spec)
     # 80 stencils of 13 x 13 points 20 spacings apart need about 6M samples: more than the budget holds
     f(_lattice_points(spec, 80, 15, step=20, half=6, reach=4000))
-    assert 0 < len(f.tiles) * wirtinger._TILE**2 <= wirtinger._HELD
+    assert 0 < len(f.tiles) * wirtinger._TILE**2 + f.held_values <= wirtinger._HELD
+
+
+def _formed(f, monkeypatch):
+    """Counts of the lattice values ``f`` forms, one entry per :meth:`_cell_values` call."""
+    counts = []
+    cell_values = f._cell_values
+
+    def counted(u, v):
+        counts.append(u.size)
+        return cell_values(u, v)
+
+    monkeypatch.setattr(f, "_cell_values", counted)
+    return counts
+
+
+@pytest.mark.parametrize("name", ["ratio", "abs2"])
+def test_held_value_has_the_same_bits_fresh_held_duplicated_and_past_the_budget(name, monkeypatch):
+    sigma = by_name(name)
+    spec = make_mollifier(0.05, 40)
+    z = _lattice_points(spec, 3, 17, step=6, half=4)
+    distinct = np.unique(z).size
+    pick = np.arange(0, z.size, 9)
+    # each picked point alone, on a fresh instance
+    fresh = np.array([LatticeMollification(sigma, spec)(p)[0] for p in z[pick, None]]).view(np.uint64)
+    f = LatticeMollification(sigma, spec)
+    formed = _formed(f, monkeypatch)
+    assert np.array_equal(f(z)[pick].view(np.uint64), fresh)
+    assert sum(formed) == distinct == f.held_values
+    # held: read back without forming a value
+    assert np.array_equal(f(z[pick]).view(np.uint64), fresh)
+    assert sum(formed) == distinct
+    # duplicated within one batch, on a fresh instance
+    g = LatticeMollification(sigma, spec)
+    twice = g(z[np.concatenate([pick, pick[::-1], pick])])
+    assert np.array_equal(twice.reshape(3, -1)[[0, 2]].view(np.uint64), np.stack([fresh, fresh]))
+    assert np.array_equal(twice.reshape(3, -1)[1, ::-1].copy().view(np.uint64), fresh)
+    assert g.held_values == pick.size
+    # a budget that holds a few tiles and part of the values: no value is dropped, none added once full
+    monkeypatch.setattr(wirtinger, "_HELD", 4 * wirtinger._TILE**2 + 100)
+    small = LatticeMollification(sigma, spec)
+    held = []
+    for _ in range(2):
+        assert np.array_equal(small(z)[pick].view(np.uint64), fresh)
+        held.append((len(small.tiles), small.held_values))
+        assert held[-1][0] * wirtinger._TILE**2 + held[-1][1] <= wirtinger._HELD
+    assert held[0] == held[1] and 0 < small.held_values < distinct
+
+
+def test_lattice_keys_at_the_lattice_reach(monkeypatch):
+    # spacing 1/4 puts every lattice point out to _LATTICE_REACH spacings exactly on the lattice;
+    # ratio's values there are the directions of the points, so any two corners that share a key differ
+    sigma = by_name("ratio")
+    spec = make_mollifier(0.5, 4)
+    reach = int(wirtinger._LATTICE_REACH)
+    ends = np.array([-reach, -reach + 1, -1, 0, 1, reach - 1, reach])
+    a, b = np.meshgrid(ends, ends)
+    z = (a * spec.spacing + 1j * (b * spec.spacing)).ravel()
+    f = LatticeMollification(sigma, spec)
+    assert f.usable
+    formed = _formed(f, monkeypatch)
+    got = f(z)
+    assert sum(formed) == z.size
+    samples = np.where(np.isfinite(s := sigma.raw(z[:, None] - spec.offsets[None, :])), s, 0.0)
+    assert np.all(np.abs(got - samples @ spec.weights) <= 1e-13 * (np.abs(samples) @ spec.weights))
+    assert np.array_equal(f(z[::-1])[::-1].copy().view(np.uint64), got.view(np.uint64))
+    assert sum(formed) == z.size
+
+
+# steps the callers use: the classifier's default and snapped steps, verify's per-point first-order steps
+# 1e-3 (1 + |z|) and halved powers of two, its Laplacian steps, and the constructor's dilation steps
+_STEPS = sorted(
+    {float(h) for K in range(1, 9) for h in (default_step(K), default_step(K, 0.7 - 1.2j))}
+    | {0.0025 * k for k in (1, 4, 6, 8, 14, 20, 28)}
+    | {float(h) for h in 1e-3 * (1.0 + np.abs(random_points(0.0, 2.0, 40, np.random.default_rng(18))[:, 0]))}
+    | {2.0**-k for k in range(5, 16)}
+    | {float(h) for k in (1, 2, 3) for h in stencil_steps(np.array([0.0, 1.0, 1.9j]), 0.12 * np.sqrt(k))}
+    | {0.01, 0.015}
+)
+
+
+@pytest.mark.parametrize("K", range(1, 9))
+def test_stencil_weights_columns_are_the_per_order_recursion_bit_for_bit(K):
+    n = stencil_halfwidth(K)
+    offs = np.arange(-n, n + 1)
+    for h in _STEPS:
+        table = stencil_weights(n, h, K)
+        assert table.shape == (2 * n + 1, K + 1)
+        for a in range(K + 1):
+            assert np.array_equal(table[:, a].view(np.uint64), fd_weights(a, offs * h)[:, a].view(np.uint64)), (h, a)
+        assert stencil_weights(n, h, K) is table
+
+
+def test_stencil_weights_table_is_read_only():
+    table = stencil_weights(stencil_halfwidth(4), 0.01, 4)
+    with pytest.raises(ValueError):
+        table[0, 0] = 1.0
+    assert np.array_equal(stencil_weights(stencil_halfwidth(4), 0.01, 4), fd_weights(4, 0.01 * np.arange(-5, 6)))
 
 
 def test_snap_steps_rounds_to_whole_spacings():
