@@ -246,16 +246,100 @@ def _classification_points(sigma, config):
     return raw_pts, moll_pts, near
 
 
-def classify(sigma, config=None):
-    """Full universality classification of one activation.
+def _prepared_points(sigma, config):
+    """Shared preparation of both stages: (probe, holomorphy points, fit points, mollification).
 
-    Shallow verdict: "no" iff a polyharmonic order is found.  Deep verdict:
+    The mollification is ``None`` for a smooth activation, which both stages
+    then read raw.
+    """
+    raw_pts, moll_pts, near = _classification_points(sigma, config)
+    if sigma.smooth:
+        return subsample(raw_pts, DERIVATIVE_PROBES), subsample(raw_pts, HOLOMORPHY_PROBES), raw_pts, None
+    probe = subsample(moll_pts, DERIVATIVE_PROBES)
+    fit_pts = subsample(moll_pts, 800)
+    if near.size:
+        probe = np.concatenate([probe, subsample(near, NEAR_CUT_PROBES)])
+        fit_pts = np.concatenate([fit_pts, near])
+    return probe, probe, fit_pts, _smoothed(sigma)
+
+
+def _shallow_stage(sigma, prepared, tol):
+    """Shallow verdict: "no" iff a polyharmonic order is found.
+
+    Returns (report fields, evidence).
+    """
+    probe, _, _, mollifier = prepared
+    found, order, residuals = detect_polyharmonic(sigma, MAX_ORDER, probe, tol, mollifier=mollifier)
+    fields = {"polyharmonic_order": order, "shallow_universal": NO if found else YES}
+    return fields, {"polyharmonic_residuals": [float(r) for r in residuals]}
+
+
+def _deep_stage(sigma, prepared, tol):
+    """Deep verdict with the holomorphy flags, the polynomial degree and the ae flag.
+
     "no" iff a forbidden class (polynomial / holomorphic / antiholomorphic)
     is found and the activation is continuous up to isolated singular points;
     if it is discontinuous along a curve yet matches a forbidden class on the
-    grid, ``ae_equal_but_discontinuous`` is set and the verdict is "yes" when
-    sigma(sigma(z)) is exactly max(0, Re z) -- two layers then realize the
-    real-part ReLU, which is deep universal -- and indeterminate otherwise.
+    grid, the ae flag is set and the verdict is "yes" when sigma(sigma(z)) is
+    exactly max(0, Re z) -- two layers then realize the real-part ReLU, which
+    is deep universal -- and indeterminate otherwise.  Returns (report
+    fields, evidence).
+    """
+    probe, holo_pts, fit_pts, mollifier = prepared
+    d_res, dbar_res = _directional_residuals(sigma, holo_pts, mollifier)
+    holomorphic, antiholomorphic = _holomorphy_flags(d_res, dbar_res, tol)
+    poly_found, poly_degree, fit_res, deriv_res = detect_polynomial(
+        sigma, MAX_DEGREE, fit_pts, tol, mollifier=mollifier, deriv_points=subsample(probe, 60)
+    )
+    isolated_only = all(c.kind == "points" for c in sigma.discontinuity_set)
+    ae_flag = False
+    if not (poly_found or holomorphic or antiholomorphic):
+        deep = YES
+    elif sigma.continuous or isolated_only:
+        deep = NO
+    else:
+        ae_flag = True
+        deep = YES if _is_exact_relu_composer(sigma) else INDETERMINATE
+    fields = {
+        "holomorphic": bool(holomorphic),
+        "antiholomorphic": bool(antiholomorphic),
+        "polynomial_degree": poly_degree,
+        "ae_equal_but_discontinuous": ae_flag,
+        "deep_universal": deep,
+    }
+    evidence = {
+        "d_residual": d_res,
+        "dbar_residual": dbar_res,
+        "poly_fit_residuals": [float(r) for r in fit_res],
+        "poly_deriv_residuals": [float(r) for r in deriv_res],
+    }
+    return fields, evidence
+
+
+def _verdict(sigma, field):
+    """``classify(sigma)``'s verdict ``field``, computed by the one stage that decides it.
+
+    The stages share no result, and a :class:`LatticeMollification` value
+    does not depend on the batch it is formed in, so the verdict is the one
+    :func:`classify` reports.
+    """
+    if not sigma.locally_bounded:
+        return INDETERMINATE
+    stage = {"shallow_universal": _shallow_stage, "deep_universal": _deep_stage}[field]
+    config = ClassifierConfig()
+    fields, _ = stage(sigma, _prepared_points(sigma, config), config.tol)
+    return fields[field]
+
+
+def classify(sigma, config=None):
+    """Full universality classification of one activation.
+
+    Runs the shallow stage (:func:`_shallow_stage`: "no" iff a polyharmonic
+    order is found) and then the deep stage (:func:`_deep_stage`: polynomial,
+    holomorphic and antiholomorphic tests, and the ae branch) on one shared
+    preparation, so both read the same mollification.  An activation that is
+    not locally bounded is indeterminate for both.  A synthesis gate that
+    needs one verdict runs its stage alone (:func:`_verdict`).
     """
     config = config or ClassifierConfig()
     if not sigma.locally_bounded:
@@ -272,58 +356,13 @@ def classify(sigma, config=None):
             config_echo=config.echo(),
         )
 
-    raw_pts, moll_pts, near = _classification_points(sigma, config)
-    mollifier = None
-    if sigma.smooth:
-        probe = subsample(raw_pts, DERIVATIVE_PROBES)
-        holo_pts = subsample(raw_pts, HOLOMORPHY_PROBES)
-        fit_pts = raw_pts
-    else:
-        mollifier = _smoothed(sigma)
-        probe = subsample(moll_pts, DERIVATIVE_PROBES)
-        if near.size:
-            near_probe = subsample(near, NEAR_CUT_PROBES)
-            probe = np.concatenate([probe, near_probe])
-        holo_pts = probe
-        fit_pts = np.concatenate([subsample(moll_pts, 800), near]) if near.size else subsample(moll_pts, 800)
-
-    found, order, poly_res = detect_polyharmonic(sigma, MAX_ORDER, probe, config.tol, mollifier=mollifier)
-    d_res, dbar_res = _directional_residuals(sigma, holo_pts, mollifier)
-    holomorphic, antiholomorphic = _holomorphy_flags(d_res, dbar_res, config.tol)
-    poly_found, poly_degree, fit_res, deriv_res = detect_polynomial(
-        sigma, MAX_DEGREE, fit_pts, config.tol, mollifier=mollifier, deriv_points=subsample(probe, 60)
-    )
-
-    evidence = {
-        "polyharmonic_residuals": [float(r) for r in poly_res],
-        "d_residual": d_res,
-        "dbar_residual": dbar_res,
-        "poly_fit_residuals": [float(r) for r in fit_res],
-        "poly_deriv_residuals": [float(r) for r in deriv_res],
-        "scale_points": int(probe.size),
-    }
-
-    shallow = NO if found else YES
-    forbidden = poly_found or holomorphic or antiholomorphic
-    isolated_only = all(c.kind == "points" for c in sigma.discontinuity_set)
-    ae_flag = False
-    if not forbidden:
-        deep = YES
-    elif sigma.continuous or isolated_only:
-        deep = NO
-    else:
-        ae_flag = True
-        deep = YES if _is_exact_relu_composer(sigma) else INDETERMINATE
-
+    prepared = _prepared_points(sigma, config)
+    shallow, shallow_evidence = _shallow_stage(sigma, prepared, config.tol)
+    deep, deep_evidence = _deep_stage(sigma, prepared, config.tol)
     return ClassificationReport(
         activation_name=sigma.name,
-        polyharmonic_order=order,
-        holomorphic=bool(holomorphic),
-        antiholomorphic=bool(antiholomorphic),
-        polynomial_degree=poly_degree,
-        ae_equal_but_discontinuous=ae_flag,
-        shallow_universal=shallow,
-        deep_universal=deep,
-        evidence=evidence,
+        **shallow,
+        **deep,
+        evidence={**shallow_evidence, **deep_evidence, "scale_points": int(prepared[0].size)},
         config_echo=config.echo(),
     )

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from . import __version__, targets
-from .classifier import YES, _is_exact_relu_composer, classify, monomial_design
+from .classifier import YES, _is_exact_relu_composer, _verdict, monomial_design
 from .errors import IllConditionedBasisError, NoActivePointError, SynthesisRefusedError
 from .grids import cut_distance, make_grid, points_of, random_points
 from .network import (
@@ -324,10 +324,16 @@ def _certificate(net, sigma, target, center, radius, d, config, target_name, ech
 
 
 def _require_verdict(sigma, field):
-    report = classify(sigma)
-    if getattr(report, field) != YES:
+    """Refuse synthesis unless sigma's ``field`` verdict is yes.
+
+    Only the classifier stage that decides ``field`` runs: the deep gate
+    skips the polyharmonic search, the shallow gate the polynomial,
+    holomorphy and ae tests.  The verdict is the one ``classify`` reports.
+    """
+    verdict = _verdict(sigma, field)
+    if verdict != YES:
         raise SynthesisRefusedError(
-            f"{sigma.name}: {field} verdict is {getattr(report, field)!r}; pass override to force"
+            f"{sigma.name}: {field} verdict is {verdict!r}; pass --override (CLI) or gate=False (library) to force"
         )
 
 

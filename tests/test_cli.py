@@ -32,6 +32,14 @@ def test_refused_synthesis_exits_1(capsys):
     assert "refused" in capsys.readouterr().err
 
 
+def test_refused_deep_synthesis_exits_1_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    argv = ["approximate", "--activation", "sin", "--target", "cone", "--deep", "--layers", "2", "--out", str(out)]
+    assert run_cli(argv) == 1
+    assert "refused" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_classify_writes_report(tmp_path):
     outs = [tmp_path / "report1.json", tmp_path / "report2.json"]
     for seed, out in zip(("1", "2"), outs):

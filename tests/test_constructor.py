@@ -1,9 +1,10 @@
+import dataclasses
 import functools
 
 import numpy as np
 import pytest
 
-from cvnnuniv import constructor
+from cvnnuniv import classifier, constructor, wirtinger
 from cvnnuniv.activations import by_name
 from cvnnuniv.constructor import (
     JET_LIMIT,
@@ -247,6 +248,67 @@ def test_synthesize_deterministic():
 def test_shallow_refusal_gate():
     with pytest.raises(SynthesisRefusedError):
         synthesize_shallow(by_name("sin"), cone, (0.0, 1.0), 2, CFG, target_name="cone")
+
+
+@pytest.mark.parametrize("name", ["sin", "conj_sin", "poly_zzbar"])
+def test_deep_refusal_gate(name):
+    # holomorphic, antiholomorphic, polynomial
+    with pytest.raises(SynthesisRefusedError, match=r"deep_universal verdict is 'no'.*--override.*gate=False"):
+        synthesize_deep(by_name(name), cone, 1, 2, (0.0, 1.0), CFG, target_name="cone")
+
+
+def test_lift_refusal_gate():
+    # |z|^2 is polyharmonic of order 2
+    with pytest.raises(SynthesisRefusedError, match="shallow_universal verdict is 'no'"):
+        lift_dimension(ABS2, rez, (0.0, 1.0), 2, CFG, target_name="rez")
+
+
+def test_build_relu_c_refusal_gate():
+    with pytest.raises(SynthesisRefusedError, match="deep_universal"):
+        build_relu_c(by_name("sin"), 2.0, 0.1, gate=True)
+
+
+def test_example_4_8_passes_the_deep_gate_by_its_relu_witness(monkeypatch):
+    # off its cut example_4_8 is a polynomial; sigma(sigma(z)) = max(0, Re z) is what makes it deep universal
+    e48 = by_name("example_4_8")
+    constructor._require_verdict(e48, "deep_universal")
+    monkeypatch.setattr(classifier, "_is_exact_relu_composer", lambda sigma: False)
+    with pytest.raises(SynthesisRefusedError, match="'indeterminate'"):
+        constructor._require_verdict(e48, "deep_universal")
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a gate ran a test of the other verdict")
+
+
+def test_deep_gate_skips_the_polyharmonic_search(monkeypatch):
+    monkeypatch.setattr(classifier, "detect_polyharmonic", _refuse)
+    for name in ("ratio", "example_4_8"):
+        constructor._require_verdict(by_name(name), "deep_universal")
+
+
+def test_shallow_gate_skips_the_deep_tests(monkeypatch):
+    monkeypatch.setattr(classifier, "detect_polynomial", _refuse)
+    monkeypatch.setattr(classifier, "_directional_residuals", _refuse)
+    constructor._require_verdict(RATIO, "shallow_universal")
+
+
+def test_deep_gate_cost_on_ratio(monkeypatch):
+    # a full classify of ratio evaluates sigma at 3,543,040 points and forms 38,290 lattice values
+    points, sums = [], []
+    cell_values = wirtinger.LatticeMollification._cell_values
+
+    def counting(z):
+        points.append(np.size(z))
+        return RATIO.raw(z)
+
+    def counted_cell_values(self, u, v):
+        sums.append(u.size)
+        return cell_values(self, u, v)
+
+    monkeypatch.setattr(wirtinger.LatticeMollification, "_cell_values", counted_cell_values)
+    constructor._require_verdict(dataclasses.replace(RATIO, fn=counting), "deep_universal")
+    assert (sum(points), sum(sums)) == (2383872, 16453)
 
 
 def test_build_relu_c_budget():
