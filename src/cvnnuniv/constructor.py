@@ -1,10 +1,10 @@
 """Constructive approximation by shallow and deep complex networks.
 
-The shallow pipeline fits the target by polynomials in z and zbar, then
-realizes the polynomial on one lattice of dilated neurons sigma(w z + theta)
-at one theta: each monomial z^m zbar^l is the lattice's divided-difference
-table for d^m dbar^l in the dilation parameter w, normalized by the lattice's
-own estimate of (d^m dbar^l sigma)(theta).  The deep
+The shallow pipeline takes its neurons from one lattice of dilated neurons
+sigma(w z + theta) at one theta, the lattice on which every monomial
+z^m zbar^l up to the degree is a divided-difference table in the dilation
+parameter w, so polynomials lie in the neurons' span; the outer coefficients
+are then fit to the target.  The deep
 pipeline builds a two-layer surrogate of the real-part ReLU
 rho(z) = max(0, Re z) by composing an approximate real polynomial with an
 approximate real-part map, then reduces any target to ridges of rho via a
@@ -21,8 +21,8 @@ import math
 import numpy as np
 
 from . import __version__, targets
-from .classifier import YES, _is_exact_relu_composer, _verdict, monomial_design
-from .errors import IllConditionedBasisError, NoActivePointError, SynthesisRefusedError
+from .classifier import YES, _is_exact_relu_composer, _verdict
+from .errors import NoActivePointError, SynthesisRefusedError
 from .grids import cut_distance, make_grid, points_of, random_points
 from .network import (
     NetworkWeights,
@@ -41,7 +41,7 @@ JET_LIMIT = 7
 SYNTH_MOLLIFIER_EPS = 0.05
 SYNTH_MOLLIFIER_Q = 12
 # fixed numerical policy; the certificate's version pins it
-FIT_POINTS_PER_AXIS = 32
+FIT_POINTS_PER_AXIS = 48
 TEST_POINTS_PER_AXIS = 65
 SEARCH_POINTS_PER_AXIS = 15
 COEFF_THRESHOLD = 1e-8
@@ -80,6 +80,7 @@ class ApproximationCertificate:
     network_size: tuple
     seed: int
     config_echo: dict = dataclasses.field(default_factory=dict)
+    # part of the certificate format; every synthesis fits its outer layer, so none leaves a term out
     failures: tuple = ()
     stage_errors: dict = dataclasses.field(default_factory=dict)
 
@@ -173,18 +174,33 @@ def find_active_point(sigma, nodes, tables, search_grid):
     return theta, moll, rho, active
 
 
+def _lattice_network(constant, a, nodes, theta, moll):
+    """Shallow network ``constant + sum_k a[k] sigma(nodes[k] z + theta)`` on one lattice at one theta.
+
+    When theta was found on the mollified activation (``moll`` is its
+    ``MollifierSpec``), each neuron is expanded into the sum of translates of
+    sigma that the mollifier's quadrature makes of it.
+    """
+    if moll is None:
+        return ShallowNetwork(constant, a, nodes[:, None], np.full(nodes.size, theta))
+    # neuron (node k, translate q) is sigma(w_k z + theta - delta_q), in node-major order
+    a = (moll.weights[None, :] * a[:, None]).ravel()
+    b = np.tile(theta - moll.offsets, nodes.size)
+    return ShallowNetwork(constant, a, np.repeat(nodes, moll.offsets.size)[:, None], b)
+
+
 def extract_monomial(sigma, coeffs, search):
-    """(net, failures): a shallow network approximating sum c[(m, l)] z^m zbar^l on the unit ball.
+    """(net, failures): a shallow network realizing the polynomial sum c[(m, l)] z^m zbar^l on the unit ball.
 
     ``coeffs`` maps (m, l) to c.  The constant term becomes the network's
     constant, and terms with |c| <= COEFF_THRESHOLD are dropped.  Every other
     monomial is a divided difference on one lattice (:func:`_wirtinger_tables`)
     at one theta (:func:`find_active_point`): neuron j is
     sigma(nodes[j] z + theta) with outer coefficient sum c * tables[j] / rho
-    over the active monomials.  When theta was found on the mollified
-    activation, each neuron is expanded into the sum of translates of sigma
-    that the mollifier's quadrature makes of it.  ``failures`` names each
-    monomial that is inactive at theta and so left out.
+    over the active monomials, assembled by :func:`_lattice_network`.
+    ``failures`` names each monomial that is inactive at theta and so left
+    out.  Used for the exact polynomials of the ReLU surrogate and the
+    identity padding; shallow synthesis fits its outer coefficients instead.
     """
     coeffs = dict(coeffs)
     if any(m < 0 or ell < 0 for m, ell in coeffs):
@@ -203,13 +219,7 @@ def extract_monomial(sigma, coeffs, search):
     for c, r, table in zip(np.array([coeffs[key] for key in monomials])[active], rho[active], tables[active]):
         a = a + _cmul(c / r, table)
     keep = a != 0
-    nodes, a = nodes[keep], a[keep]
-    if moll is None:
-        return ShallowNetwork(constant, a, nodes[:, None], np.full(nodes.size, theta)), failures
-    # neuron (node k, translate q) is sigma(w_k z + theta - delta_q), in node-major order
-    a = (moll.weights[None, :] * a[:, None]).ravel()
-    b = np.tile(theta - moll.offsets, nodes.size)
-    return ShallowNetwork(constant, a, np.repeat(nodes, moll.offsets.size)[:, None], b), failures
+    return _lattice_network(constant, a[keep], nodes[keep], theta, moll), failures
 
 
 def _extract_exactly(sigma, coeffs, search):
@@ -218,33 +228,6 @@ def _extract_exactly(sigma, coeffs, search):
     if failures:
         raise NoActivePointError("no active point found: " + "; ".join(failures))
     return net
-
-
-def _poly_basis(fit_grid, degree):
-    """(points, radius, design, powers): total-degree monomials on radius-normalized coordinates of the fit grid."""
-    pts = points_of(fit_grid)
-    radius = max(1.0, float(np.max(np.abs(pts))))
-    design, powers = monomial_design(pts / radius, degree)
-    if pts.size < len(powers):
-        raise ValueError("fit grid has fewer points than basis functions")
-    return pts, radius, design, powers
-
-
-def _poly_solve(design, fvals, powers, radius):
-    """Coefficients c_{m,l} of z^m zbar^l fitting ``fvals``, by column-scaled least squares.
-
-    ``design`` holds the monomials on coordinates divided by ``radius``; the
-    coefficients are rescaled back to z.  Raises ``IllConditionedBasisError``
-    when the design is rank deficient.
-    """
-    col_norms = np.linalg.norm(design, axis=0)
-    design_scaled = design / col_norms
-    coef, _, rank, svals = np.linalg.lstsq(design_scaled, fvals, rcond=None)
-    if rank < len(powers):
-        cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else float("inf")
-        raise IllConditionedBasisError("ill-conditioned basis", condition=cond)
-    coef = coef / col_norms
-    return {(m, ell): complex(c / radius ** (m + ell)) for (m, ell), c in zip(powers, coef)}
 
 
 def _lawson(weighted_fit, residual, n, passes):
@@ -267,24 +250,6 @@ def _lawson(weighted_fit, residual, n, passes):
     return best, best_sup
 
 
-def _sup_oriented_fit(target, fit_grid, degree, iterations=14):
-    """Total-degree fit with Lawson reweighting, keeping the best sup residual."""
-    pts, radius, design, powers = _poly_basis(fit_grid, degree)
-    fvals = np.asarray(target(pts), dtype=complex)
-
-    def residual(coeffs):
-        approx = np.zeros_like(fvals)
-        for (m, ell), c in coeffs.items():
-            approx += c * pts**m * np.conj(pts) ** ell
-        return np.abs(fvals - approx)
-
-    def weighted_fit(w):
-        root = np.sqrt(w)
-        return _poly_solve(design * root[:, None], fvals * root, powers, radius)
-
-    return _lawson(weighted_fit, residual, pts.size, iterations)
-
-
 def _rescale_shallow(net_u, center, radius):
     """Rewrite a unit-ball shallow net in u = (z - center)/radius as a net in z.
 
@@ -298,7 +263,7 @@ def _rescale_shallow(net_u, center, radius):
     return ShallowNetwork(net_u.c, net_u.a, net_u.w / radius, net_u.b - shift)
 
 
-def _certificate(net, sigma, target, center, radius, d, config, target_name, echo, stage_errors, failures=()):
+def _certificate(net, sigma, target, center, radius, d, config, target_name, echo, stage_errors):
     """Errors of ``net`` against ``target`` on a held-out regular grid of the domain ball.
 
     The grid has ``TEST_POINTS_PER_AXIS`` points per axis on a disc and
@@ -318,7 +283,6 @@ def _certificate(net, sigma, target, center, radius, d, config, target_name, ech
         network_size=(1, net.width) if shallow else (net.hidden_layers, net.total_neurons),
         seed=config.seed,
         config_echo=echo,
-        failures=tuple(failures),
         stage_errors=stage_errors,
     )
 
@@ -340,31 +304,38 @@ def _require_verdict(sigma, field):
 def synthesize_shallow(sigma, target, domain, degree, config=None, target_name="custom", gate=True):
     """Shallow network approximating ``target`` on a disc, with certificate.
 
-    Pipeline: least-squares polynomial fit in z, zbar (total degree), then the
-    whole polynomial realized by :func:`extract_monomial` on one lattice at
-    one theta; monomials it could not realize are listed in the certificate's
-    ``failures``.  Certificate errors are measured on a held-out regular grid
-    disjoint from the staggered fit grid.
+    Pipeline: the dilation lattice of every monomial z^m zbar^l of total
+    degree 1..``degree`` (:func:`_wirtinger_tables`) at one theta
+    (:func:`find_active_point`) supplies the neurons sigma(nodes[j] u +
+    theta) in u = (z - center) / radius, keeping the nodes where some active
+    monomial's table is nonzero; the constant and outer coefficients are then
+    fit to the target on a staggered grid.  With no monomial or no active
+    node the network is the fitted constant.  Certificate errors are
+    measured on a held-out regular grid disjoint from the fit grid.
     """
     config = config or ConstructorConfig()
     center, radius = domain
     center = complex(center)
     radius = float(radius)
+    if degree > JET_LIMIT:
+        raise ValueError(f"degree {degree} exceeds the jet limit {JET_LIMIT}")
     if gate:
         _require_verdict(sigma, "shallow_universal")
 
-    fit_grid = make_grid(0.0, 1.0, FIT_POINTS_PER_AXIS, staggered=True)
-
-    def target_u(u):
-        return target(center + radius * u)
-
-    coeffs, fit_sup = _sup_oriented_fit(target_u, fit_grid, degree)
-    net_u, failures = extract_monomial(sigma, coeffs, _search_grid(sigma))
-    net = _rescale_shallow(net_u, center, radius)
+    monomials = [(m, total - m) for total in range(1, degree + 1) for m in range(total + 1)]
+    nodes, theta, moll = np.zeros(0, dtype=complex), 0j, None
+    if monomials:
+        lattice, tables = _wirtinger_tables(monomials)
+        theta, moll, _, active = find_active_point(sigma, lattice, tables, _search_grid(sigma))
+        nodes = lattice[np.any(tables[active] != 0, axis=0)]
+    f = sigma.raw if moll is None else mollify(sigma, moll)
+    u = make_grid(0.0, 1.0, FIT_POINTS_PER_AXIS, staggered=True).scalars
+    fvals = np.asarray(target(center + radius * u), dtype=complex)
+    coef, fit_sup = _refit_design(f(u[:, None] * nodes[None, :] + theta), fvals, lawson=4)
+    net = _rescale_shallow(_lattice_network(coef[0], coef[1:], nodes, theta, moll), center, radius)
     echo = {**config.echo(), "degree": degree}
-    stage_errors = {"fit_sup_on_fit_grid": fit_sup}
-    cert = _certificate(net, sigma, target, center, radius, 1, config, target_name, echo, stage_errors, failures)
-    return net, cert
+    stage_errors = {"refit_sup_on_fit_points": fit_sup}
+    return net, _certificate(net, sigma, target, center, radius, 1, config, target_name, echo, stage_errors)
 
 
 def _search_grid(sigma):

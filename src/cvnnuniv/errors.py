@@ -21,13 +21,5 @@ class NoActivePointError(CvnnError):
     """No expansion point was found at which every needed derivative is active."""
 
 
-class IllConditionedBasisError(CvnnError):
-    """Least-squares basis is rank deficient after column scaling."""
-
-    def __init__(self, message, condition=None):
-        super().__init__(message)
-        self.condition = condition
-
-
 class SynthesisRefusedError(CvnnError):
     """Synthesis was refused because the activation fails the required verdict."""

@@ -185,6 +185,16 @@ def test_deep_approximate(tmp_path):
     assert doc["network_size"][0] == 2  # two hidden layers
 
 
+def test_degree_zero_approximates_by_a_constant(tmp_path):
+    out, net = tmp_path / "cert.json", tmp_path / "net.json"
+    argv = ["approximate", "--activation", "ratio", "--target", "cone", "--degree", "0"]
+    assert run_cli(argv + ["--out", str(out), "--network-out", str(net)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["network_size"] == [1, 0] and doc["failures"] == []
+    assert doc["sup_error"] < 0.6
+    assert load_network(net).hidden_layers == 1
+
+
 def test_dims_routes_to_lifting(tmp_path):
     out = tmp_path / "cert.json"
     code = run_cli(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cvnnuniv import classifier, constructor, wirtinger
-from cvnnuniv.activations import by_name
+from cvnnuniv.activations import ActivationSpec, by_name
 from cvnnuniv.constructor import (
     JET_LIMIT,
     PSI_WIDTH,
@@ -20,7 +20,6 @@ from cvnnuniv.constructor import (
     synthesize_shallow,
     _rescale_shallow,
     _search_grid,
-    _sup_oriented_fit,
     _wirtinger_tables,
 )
 from cvnnuniv.errors import SynthesisRefusedError
@@ -160,34 +159,6 @@ def test_dilation_stencil_matches_jet_entries():
                 assert abs(np.sum(table * samples) - jets[(m, ell)][0]) <= bound, (theta, m, ell)
 
 
-def test_sup_oriented_fit_exact_cases():
-    grid = make_grid(0.0, 1.0, 15)
-    coeffs, sup = _sup_oriented_fit(lambda z: z**2, grid, 3)
-    assert coeffs[(2, 0)] == pytest.approx(1.0, abs=1e-10)
-    rest = max(abs(c) for key, c in coeffs.items() if key != (2, 0))
-    assert rest <= 1e-8 and sup <= 1e-10
-    coeffs, _ = _sup_oriented_fit(lambda z: z.real + 0j, grid, 2)
-    assert coeffs[(1, 0)] == pytest.approx(0.5, abs=1e-10)
-    assert coeffs[(0, 1)] == pytest.approx(0.5, abs=1e-10)
-
-
-def test_sup_oriented_fit_rank_deficiency():
-    # on a real line z == conj(z), so the monomial columns collapse
-    from cvnnuniv.errors import IllConditionedBasisError
-
-    pts = np.linspace(0.1, 1.0, 60) + 0j
-    with pytest.raises(IllConditionedBasisError, match="ill-conditioned basis") as info:
-        _sup_oriented_fit(lambda z: z**2, pts, 2)
-    assert info.value.condition is None or info.value.condition > 0
-
-
-def test_sup_oriented_fit_radius_scaling():
-    # the fit runs on coordinates divided by the grid radius 2.5; coefficients come back in z
-    grid = make_grid(0.0, 2.5, 15)
-    coeffs, _ = _sup_oriented_fit(lambda z: 0.25 * z**2, grid, 2)
-    assert coeffs[(2, 0)] == pytest.approx(0.25, abs=1e-9)
-
-
 def test_synthesize_exact_monomial_chain():
     net, cert = synthesize_shallow(
         ABS2, lambda z: z * np.conj(z), (0.0, 1.0), 2, CFG, target_name="abs2_target", gate=False
@@ -216,9 +187,24 @@ def test_synthesize_cone_degree6():
     [("ratio", 6, 0, 2875), ("sigmoid_split", 6, 7, 2028), ("rho_c", 4, 12, 34), ("zlog", 4, 10, 340), ("arcsin_principal", 4, 10, 340)],
 )
 def test_one_lattice_fails_no_more_and_is_no_wider(name, degree, failures, width):
-    # the bounds are those of one active point and one stencil per monomial
+    # failures and width bound one active point and one stencil per monomial; sup_error must meet the 0.1
+    # budget for sigmoid_split and be no worse than a polynomial fit realized monomial by monomial for the rest
+    ceiling = {"ratio": 0.065481, "sigmoid_split": 0.1, "rho_c": 0.914006, "zlog": 0.913414, "arcsin_principal": 0.913414}
     net, cert = synthesize_shallow(by_name(name), cone, (0.0, 1.0), degree, CFG, target_name="cone", gate=False)
     assert len(cert.failures) <= failures and net.width <= width
+    # the refit leaves no monomial out
+    assert cert.sup_error <= ceiling[name] and not cert.failures
+
+
+def test_degree_zero_and_an_inactive_lattice_fit_the_constant_alone():
+    # a constant activation has no active monomial anywhere: its lattice contributes no neuron
+    flat = ActivationSpec(name="flat", fn=lambda z: np.full(z.shape, 0.5 + 0j))
+    nets = [
+        synthesize_shallow(sigma, cone, (0.0, 1.0), degree, CFG, target_name="cone", gate=False)[0]
+        for sigma, degree in ((RATIO, 0), (flat, 3))
+    ]
+    assert [net.width for net in nets] == [0, 0] and nets[0].c == nets[1].c
+    assert abs(nets[0].c - 0.5) <= 0.1
 
 
 def test_synthesize_off_center_domain():
@@ -351,15 +337,16 @@ def test_synthesize_deep_chooses_path_by_target_not_label():
     assert custom.sup_error == labeled.sup_error
 
 
-def test_sup_oriented_fit_evaluates_target_once():
+def test_synthesize_shallow_evaluates_target_twice():
+    # once on the fit grid and once on the held-out grid
     calls = []
 
     def counting_cone(z):
         calls.append(z.size)
         return cone(z)
 
-    _sup_oriented_fit(counting_cone, make_grid(0.0, 1.0, 32, staggered=True), 6)
-    assert len(calls) == 1
+    synthesize_shallow(RATIO, counting_cone, (0.0, 1.0), 6, CFG, target_name="cone", gate=False)
+    assert len(calls) == 2
 
 
 def test_synthesize_deep_generic_path():
