@@ -168,7 +168,7 @@ def _cmd_approximate(args):
         )
     _emit(cert.to_json_dict(), args)
     if args.network_out:
-        save_network(net if args.deep else net.to_network(), args.network_out)
+        save_network(net, args.network_out)
     return 0
 
 

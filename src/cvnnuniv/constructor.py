@@ -456,14 +456,18 @@ def _ball(domain, d):
     return center, float(radius)
 
 
-def _ridge_stage(target, center, radius, d, width, rng):
-    """Seeded real one-hidden-layer ReLU ridge fit of ``target``, shared by deep and lifted synthesis.
+def _ridge_stage(sigma, trunk, target, center, radius, d, width, rng, lawson):
+    """(RidgeNetwork, stage_errors): seeded ReLU ridges of ``target`` with ``trunk`` in place of the ReLU.
 
-    Ridge j is max(0, Re(w_j . (z - center)) + gamma_j).  Its pre-activation
-    divided by s_j, which keeps it inside the unit disc on the fit points, is
-    ``(w_j / s_j) . z + bias_j``; column j of ``scaled_pre`` holds it on the
-    fit points.  Returns (fvals, w, s, bias, scaled_pre, stage1_sup), where
-    stage1_sup is the sup residual of the ideal ReLU ridge fit.
+    The one ridge-substitution stage of deep and lifted synthesis.  A real
+    one-hidden-layer ReLU fit on random points of the ball supplies ridge j,
+    max(0, Re(w_j . (z - center)) + gamma_j); stage1_sup is its sup residual.
+    Its pre-activation divided by s_j, which keeps it inside the unit disc on
+    the fit points, is ``(w_j / s_j) . z + bias_j``, and ``trunk``, a 1-input
+    network approximating max(0, Re zeta) there, takes the ReLU's place: the
+    feature of ridge j is s_j trunk(...).  The constant and outer
+    coefficients are refit on those features with ``lawson`` sup-oriented
+    passes, which absorbs the trunk's error.
     """
     n_fit = max(RIDGE_FIT_POINTS, 5 * width)
     fit_pts = random_points(center, radius, n_fit, rng, d=d)
@@ -473,7 +477,12 @@ def _ridge_stage(target, center, radius, d, width, rng):
     _, stage1_sup = _refit_design(np.maximum(0.0, pre.real), fvals)
     s = 1.05 * np.maximum(np.max(np.abs(pre), axis=0), 1e-9)
     bias = [gamma[j] / s[j] - (w[j] @ center) / s[j] for j in range(width)]
-    return fvals, w, s, bias, pre / s, stage1_sup
+    # all ridges share the trunk: evaluate it once on the stacked scaled pre-activations
+    flat = np.asarray(eval_network(trunk, sigma, (pre / s).T.reshape(-1)), dtype=complex)
+    features = flat.reshape(width, fvals.size).T * s
+    coef, refit_sup = _refit_design(features, fvals, lawson=lawson)
+    ridge = ShallowNetwork(coef[0], coef[1:] * s, w / s[:, None], bias)
+    return RidgeNetwork(ridge, trunk), {"stage1_sup": stage1_sup, "refit_sup_on_fit_points": refit_sup}
 
 
 def reads_relu_eps(target, d, deep):
@@ -490,10 +499,10 @@ def reads_relu_eps(target, d, deep):
 def synthesize_deep(sigma, target, d, L, domain, config=None, target_name="custom", gate=True):
     """Network with exactly ``L`` hidden layers approximating ``target`` on a ball.
 
-    The depth-2 real-ReLU surrogate (identity-padded up to depth L) is
-    substituted into the ridges of a real one-hidden-layer fit of the target;
-    output coefficients are then refit against the actual substituted
-    features, which absorbs the surrogate's error.  The result is a
+    The depth-2 real-ReLU surrogate (identity-padded up to depth L) is the
+    trunk of :func:`_ridge_stage`, which substitutes it into the ridges of a
+    real one-hidden-layer fit of the target and refits the output
+    coefficients against the substituted features.  The result is a
     :class:`RidgeNetwork` whose trunk is that surrogate, or, when the target
     is max(0, Re z) itself on C^1, the deepened surrogate alone.
     """
@@ -514,13 +523,7 @@ def synthesize_deep(sigma, target, d, L, domain, config=None, target_name="custo
         rho_deep = pad_with_identity(rho_hat, sigma, L - 2, 1.3, exact_composer=exact)
         width = DEEP_RIDGE_WIDTH if not exact else REAL_STAGE_WIDTH
         rng = np.random.default_rng(config.seed)
-        fvals, w, s, bias, scaled_pre, stage1_sup = _ridge_stage(target, center, radius, d, width, rng)
-        # all ridges share the surrogate: evaluate it once on the stacked pre-activations
-        flat = np.asarray(eval_network(rho_deep, sigma, scaled_pre.T.reshape(-1)), dtype=complex)
-        features = flat.reshape(width, fvals.size).T * s
-        coef, refit_sup = _refit_design(features, fvals, lawson=4)
-        stage_errors = {"stage1_sup": stage1_sup, "refit_sup_on_fit_points": refit_sup}
-        net = RidgeNetwork(ShallowNetwork(coef[0], coef[1:] * s, w / s[:, None], bias), rho_deep)
+        net, stage_errors = _ridge_stage(sigma, rho_deep, target, center, radius, d, width, rng, lawson=4)
 
     echo = {**config.echo(), "layers": L}
     return net, _certificate(net, sigma, target, center, radius, d, config, target_name, echo, stage_errors)
@@ -529,10 +532,12 @@ def synthesize_deep(sigma, target, d, L, domain, config=None, target_name="custo
 def lift_dimension(sigma, target, domain, d, config=None, target_name="custom", gate=True):
     """Shallow d-input network via ridge reduction to the real-part ReLU.
 
-    A real one-hidden-layer ReLU fit supplies ridge directions; each real
-    ridge becomes a complex linear form, the ReLU is replaced by a shallow
-    approximant built from sigma, and the outer coefficients are refit on the
-    substituted features.
+    A seeded random-feature fit psi(zeta) = alpha_0 + sum_k alpha_k
+    sigma(u_k zeta + c_k) of max(0, Re zeta) on the unit disc is the trunk of
+    :func:`_ridge_stage`, which substitutes it into the ridges of a real
+    one-hidden-layer ReLU fit of the target and refits the outer layer.  The
+    result is a :class:`RidgeNetwork` with a depth-1 trunk: a shallow network
+    of ``REAL_STAGE_WIDTH * PSI_WIDTH`` neurons, kept by its structure.
     """
     config = config or ConstructorConfig()
     if d < 2:
@@ -542,31 +547,15 @@ def lift_dimension(sigma, target, domain, d, config=None, target_name="custom", 
     center, radius = _ball(domain, d)
     rng = np.random.default_rng(config.seed)
 
-    # psi ~ max(0, Re zeta) on the unit ball, by seeded random features of sigma
     psi_grid = make_grid(0.0, 1.1, 33, staggered=True)
     u_k = random_points(0.0, 2.0, PSI_WIDTH, rng)[:, 0]
     c_k = random_points(0.0, 2.0, PSI_WIDTH, rng)[:, 0]
     feats = sigma.raw(psi_grid.scalars[:, None] * u_k[None, :] + c_k[None, :])
     rho_vals = np.maximum(0.0, psi_grid.scalars.real) + 0j
     alpha, psi_sup = _refit_design(feats, rho_vals)
-    # psi(zeta) = psi_c + sum_k psi_a[k] sigma(u_k[k] zeta + c_k[k])
-    psi_c, psi_a = complex(alpha[0]), alpha[1:]
+    psi = ShallowNetwork(alpha[0], alpha[1:], u_k[:, None], c_k).to_network()
 
-    width = REAL_STAGE_WIDTH
-    fvals, w, s, bias, scaled_pre, stage1_sup = _ridge_stage(target, center, radius, d, width, rng)
-    # substituted ridge features: s_j * psi((gamma_j + w_j . (z - center)) / s_j)
-    features = np.empty((fvals.size, width), dtype=complex)
-    for j in range(width):
-        vals = sigma.raw(scaled_pre[:, j : j + 1] * u_k[None, :] + c_k[None, :])
-        features[:, j] = s[j] * (vals @ psi_a + psi_c)
-    coef, refit_sup = _refit_design(features, fvals, lawson=8)
-
-    # neuron (ridge j, psi neuron k) in ridge-major order; a and b round each product with _cmul
-    a = _cmul(_cmul(coef[1:], s)[:, None], psi_a[None, :]).ravel()
-    w_net = ((u_k[None, :] / s[:, None])[:, :, None] * w[:, None, :]).reshape(-1, d)
-    b = (c_k[None, :] + _cmul(u_k[None, :], np.asarray(bias)[:, None])).ravel()
-    constant = coef[0] + complex(np.sum(coef[1:] * s * psi_c))
-    net = ShallowNetwork(constant, a, w_net, b)
-    stage_errors = {"stage1_sup": stage1_sup, "psi_sup": psi_sup, "refit_sup_on_fit_points": refit_sup}
+    net, stage_errors = _ridge_stage(sigma, psi, target, center, radius, d, REAL_STAGE_WIDTH, rng, lawson=8)
+    stage_errors["psi_sup"] = psi_sup
     cert = _certificate(net, sigma, target, center, radius, d, config, target_name, config.echo(), stage_errors)
     return net, cert

@@ -20,8 +20,8 @@ from .errors import ActivationSingularityError
 
 FORMAT_TAG = "cvnn-network/1"
 RIDGE_FORMAT_TAG = "cvnn-network/2"
-# entries of the widest layer per row block of an evaluation: about 16 MB per complex array
-CHUNK_ENTRIES = 1 << 20
+# entries of the widest layer per row block of an evaluation: 1 MB per complex array, so a block stays in cache
+CHUNK_ENTRIES = 1 << 16
 
 
 @dataclasses.dataclass(frozen=True)
@@ -216,6 +216,10 @@ class RidgeNetwork:
             raise ValueError(f"the trunk must take one input, got {self.trunk.input_dim}")
 
     @property
+    def input_dim(self):
+        return self.ridge.input_dim
+
+    @property
     def hidden_layers(self):
         return self.trunk.hidden_layers
 
@@ -344,10 +348,13 @@ def network_from_json_dict(doc):
 def save_network(net, path):
     """Write ``net`` as one JSON document.
 
-    :class:`NetworkWeights` is a ``cvnn-network/1`` document; a
-    :class:`RidgeNetwork` is a ``cvnn-network/2`` document nesting the ``/1``
-    documents of its ridge layer and of its trunk.
+    :class:`NetworkWeights` is a ``cvnn-network/1`` document, and so is a
+    :class:`ShallowNetwork`, by its ``to_network()``; a :class:`RidgeNetwork`
+    is a ``cvnn-network/2`` document nesting the ``/1`` documents of its ridge
+    layer and of its trunk.
     """
+    if isinstance(net, ShallowNetwork):
+        net = net.to_network()
     if isinstance(net, RidgeNetwork):
         doc = {
             "format": RIDGE_FORMAT_TAG,

@@ -19,7 +19,8 @@ import re
 import numpy as np
 
 from . import __version__
-from .classifier import ClassifierConfig
+from .activations import avoid_set
+from .classifier import ClassifierConfig, detect_holomorphy
 from .errors import ActivationSingularityError
 from .grids import Grid, make_grid, points_of
 from .network import NetworkWeights
@@ -316,9 +317,6 @@ def holomorphy_of_best_fit(sigma, target, widths, domain, seed=0):
     The features may carry poles inside the domain, so the derivative steps
     adapt pointwise exactly as in :func:`check_network_invariant`.
     """
-    from .classifier import detect_holomorphy
-    from .activations import avoid_set
-
     center, radius = domain
     guard_grid = make_grid(center, radius, 21, avoid=avoid_set(sigma), guard=0.5)
     verdict = detect_holomorphy(sigma, guard_grid, ClassifierConfig().tol)

@@ -219,7 +219,7 @@ def test_dims_routes_to_lifting(tmp_path):
     assert doc["sup_error"] <= 0.05
 
 
-def test_network_out(tmp_path):
+def test_network_out(tmp_path, monkeypatch):
     nets = []
     for run in range(2):
         cert = tmp_path / f"cert{run}.json"
@@ -252,7 +252,24 @@ def test_network_out(tmp_path):
     want, _ = synthesize_deep(
         by_name("example_4_8"), resolve_target("cone"), 1, 2, (0.0, 1.0), ConstructorConfig(seed=4), gate=False
     )
-    got = load_network(deep_net)
+    _assert_same_ridges(want, load_network(deep_net))
+
+    # lifted: also a cvnn-network/2 document, the psi fit as a depth-1 trunk
+    lifted = []
+
+    def record(*args, fn=cli.lift_dimension, **kwargs):
+        lifted.append(fn(*args, **kwargs))
+        return lifted[-1]
+
+    monkeypatch.setattr(cli, "lift_dimension", record)
+    lifted_net = tmp_path / "lifted.json"
+    argv = ["approximate", "--activation", "ratio", "--target", "rez", "--dims", "2", "--override"]
+    assert run_cli(argv + ["--out", str(tmp_path / "lifted-cert.json"), "--network-out", str(lifted_net)]) == 0
+    assert json.loads(lifted_net.read_text())["format"] == "cvnn-network/2"
+    _assert_same_ridges(lifted[0][0], load_network(lifted_net))
+
+
+def _assert_same_ridges(want, got):
     for name in ("c", "a", "w", "b"):
         want_bits, got_bits = (np.atleast_1d(getattr(n.ridge, name)).view(np.uint64) for n in (want, got))
         assert np.array_equal(want_bits, got_bits)

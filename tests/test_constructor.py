@@ -9,6 +9,8 @@ from cvnnuniv.activations import ActivationSpec, by_name
 from cvnnuniv.constructor import (
     JET_LIMIT,
     PSI_WIDTH,
+    REAL_STAGE_WIDTH,
+    RIDGE_FIT_POINTS,
     ConstructorConfig,
     build_relu_c,
     extract_monomial,
@@ -19,12 +21,13 @@ from cvnnuniv.constructor import (
     synthesize_deep,
     synthesize_shallow,
     _rescale_shallow,
+    _ridge_parameters,
     _search_grid,
     _wirtinger_tables,
 )
 from cvnnuniv.errors import SynthesisRefusedError
 from cvnnuniv.grids import make_grid, random_points
-from cvnnuniv.network import RidgeNetwork, eval_network, eval_ridge, eval_shallow
+from cvnnuniv.network import RidgeNetwork, ShallowNetwork, eval_network, eval_ridge, eval_shallow
 from cvnnuniv.targets import cone, relu_c, resolve_target, rez
 from cvnnuniv.wirtinger import jet_entries_at, make_mollifier, mollify
 
@@ -455,31 +458,47 @@ def test_shallow_arrays_round_as_the_per_neuron_formulas():
         _assert_same_network(_rescale_shallow(net, center, radius), *_arrays(moved), 0.0)
 
 
-def test_lifted_arrays_round_as_the_per_neuron_formulas(monkeypatch):
-    # record the psi fit, the ridge stage and the refit; the certificate is not needed here
-    seen = {"_refit_design": [], "_ridge_stage": []}
-    for name in seen:
+def test_lifted_net_is_ridges_of_the_psi_fit(monkeypatch):
+    # record the fits; the certificate is not needed here
+    fits = []
 
-        def record(*args, fn=getattr(constructor, name), name=name, **kwargs):
-            seen[name].append(fn(*args, **kwargs))
-            return seen[name][-1]
+    def record(*args, fn=constructor._refit_design, **kwargs):
+        fits.append(fn(*args, **kwargs))
+        return fits[-1]
 
-        monkeypatch.setattr(constructor, name, record)
+    monkeypatch.setattr(constructor, "_refit_design", record)
     monkeypatch.setattr(constructor, "_certificate", lambda *args, **kwargs: None)
     net, _ = lift_dimension(RATIO, rez, (0.0, 1.0), 2, CFG, target_name="rez", gate=False)
+    # fits in call order: psi, the ideal ReLU ridges, the substituted refit
+    (alpha, _), _, (coef, _) = fits
 
+    # replay the seeded draws: psi's u_k and c_k, then the ridge stage's fit points and ridges
     rng = np.random.default_rng(CFG.seed)
-    psi_w = random_points(0.0, 2.0, PSI_WIDTH, rng)[:, 0]
-    psi_b = random_points(0.0, 2.0, PSI_WIDTH, rng)[:, 0]
-    # fits in call order: psi, the ideal ReLU ridges inside _ridge_stage, the substituted refit
-    (alpha, _), _, (coef, _) = seen["_refit_design"]
-    _, w, s, bias, _, _ = seen["_ridge_stage"][0]
-    psi_a, psi_c = alpha[1:], complex(alpha[0])
-    # reference: one (a, w, b) per (ridge j, psi neuron k), with NumPy scalars and length-d arrays
-    terms = [
-        (complex(coef[1 + j] * s[j] * psi_a[k]), (psi_w[k] / s[j]) * w[j], complex(psi_b[k] + psi_w[k] * bias[j]))
-        for j in range(s.size)
-        for k in range(PSI_WIDTH)
-    ]
-    assert net.width == len(terms) == s.size * PSI_WIDTH
-    _assert_same_network(net, *_arrays(terms), coef[0] + complex(np.sum(coef[1:] * s * psi_c)))
+    u_k = random_points(0.0, 2.0, PSI_WIDTH, rng)[:, 0]
+    c_k = random_points(0.0, 2.0, PSI_WIDTH, rng)[:, 0]
+    center = np.zeros(2, dtype=complex)
+    fit_pts = random_points(center, 1.0, RIDGE_FIT_POINTS, rng, d=2)
+    w, gamma = _ridge_parameters(rng, REAL_STAGE_WIDTH, 2, 1.0)
+    s = 1.05 * np.maximum(np.max(np.abs((fit_pts - center) @ w.T + gamma), axis=0), 1e-9)
+    bias = [gamma[j] / s[j] - (w[j] @ center) / s[j] for j in range(REAL_STAGE_WIDTH)]
+
+    assert isinstance(net, RidgeNetwork) and net.input_dim == 2
+    _assert_same_network(net.ridge, coef[1:] * s, w / s[:, None], bias, coef[0])
+    (u, c), (a, const) = net.trunk.layers
+    for got, want in ((u, u_k[:, None]), (c, c_k), (a, alpha[None, 1:]), (const, alpha[:1])):
+        assert np.array_equal(_bits(got), _bits(want))
+
+    # the same function as the dense shallow net of every (ridge j, psi neuron k) neuron
+    r = net.ridge
+    dense = ShallowNetwork(
+        r.c + np.sum(r.a) * alpha[0],
+        (r.a[:, None] * alpha[None, 1:]).ravel(),
+        (u_k[None, :, None] * r.w[:, None, :]).reshape(-1, 2),
+        (c_k[None, :] + u_k[None, :] * r.b[:, None]).ravel(),
+    )
+    zs = random_points(center, 1.0, 50, np.random.default_rng(3), d=2)
+    # the sums cancel (|alpha_0| ~ 2e4), so the tolerance is relative to the sum of the absolute terms
+    terms = ShallowNetwork(abs(dense.c), np.abs(dense.a), dense.w, dense.b)
+    scale = eval_shallow(terms, lambda x: np.abs(RATIO(x)), zs).real
+    gap = np.abs(eval_ridge(net, RATIO, zs) - eval_shallow(dense, RATIO, zs))
+    assert np.all(gap <= 1e-12 * scale)
