@@ -2,8 +2,8 @@
 
 Every activation is vectorized over complex ndarrays.  The metadata drives the
 rest of the library: grids avoid ``discontinuity_set``, the classifier and the
-constructor mollify whenever ``smooth`` is false, and ``singular_points``
-marks arguments where evaluation is an error (poles).
+constructor mollify whenever ``nonsmooth_set`` is declared, and
+``singular_points`` marks arguments where evaluation is an error (poles).
 """
 
 from __future__ import annotations
@@ -21,21 +21,19 @@ from .grids import Cut, cut_distance, line_cut, points_cut, ray_cut
 class ActivationSpec:
     """A named activation ``C -> C`` plus the metadata the theory needs.
 
-    ``continuous``       -- continuous on all of C (then discontinuity_set is empty).
-    ``smooth``           -- C-infinity away from the declared singular points;
-                            non-smooth activations are mollified before stencils.
-    ``locally_bounded``  -- locally bounded away from declared singular points.
-    ``nonsmooth_set``    -- where derivatives of any order may fail to exist;
-                            expansion points for divided differences keep a
-                            margin from this set.
+    ``discontinuity_set`` -- where sigma is not continuous; empty for an
+                             activation continuous on all of C.
+    ``locally_bounded``   -- locally bounded away from declared singular points.
+    ``nonsmooth_set``     -- where derivatives of any order may fail to exist;
+                             expansion points for divided differences keep a
+                             margin from this set.  A non-smooth activation
+                             declares it, and ``smooth`` follows from it.
     """
 
     name: str
     fn: dataclasses.InitVar = None
     discontinuity_set: tuple = ()
-    continuous: bool = True
     locally_bounded: bool = True
-    smooth: bool = True
     nonsmooth_set: tuple = ()
     singular_points: tuple = ()
 
@@ -43,8 +41,11 @@ class ActivationSpec:
         if fn is None:
             raise ValueError("an activation needs an eval function")
         object.__setattr__(self, "_fn", fn)
-        if self.continuous and self.discontinuity_set:
-            raise ValueError(f"{self.name}: continuous activations declare no discontinuities")
+
+    @property
+    def smooth(self):
+        """C-infinity away from the declared singular points; non-smooth activations are mollified before stencils."""
+        return not self.nonsmooth_set
 
     def raw(self, z):
         """Evaluate without singularity checks; may return non-finite values."""
@@ -104,7 +105,6 @@ def activation_catalog():
         ActivationSpec(
             name="ratio",
             fn=_ratio,
-            smooth=False,
             nonsmooth_set=(points_cut(0.0),),
         ),
         ActivationSpec(
@@ -114,29 +114,23 @@ def activation_catalog():
         ActivationSpec(
             name="zlog",
             fn=_zlog,
-            continuous=False,
             discontinuity_set=(neg_real,),
-            smooth=False,
             nonsmooth_set=(neg_real,),
         ),
         ActivationSpec(
             name="rho_c",
             fn=_relu_re,
-            smooth=False,
             nonsmooth_set=(line_cut(0.0, 1j),),
         ),
         ActivationSpec(
             name="example_4_8",
             fn=_re_or_relu,
-            continuous=False,
             discontinuity_set=(neg_real,),
-            smooth=False,
             nonsmooth_set=(line_cut(0.0, 1.0),),
         ),
         ActivationSpec(
             name="tanh",
             fn=np.tanh,
-            continuous=False,
             discontinuity_set=(_TANH_POLES,),
             singular_points=(_TANH_POLES,),
         ),
@@ -148,9 +142,7 @@ def activation_catalog():
         ActivationSpec(
             name="arcsin_principal",
             fn=np.arcsin,
-            continuous=False,
             discontinuity_set=(ray_cut(-1.0, -1.0), ray_cut(1.0, 1.0)),
-            smooth=False,
             nonsmooth_set=(ray_cut(-1.0, -1.0), ray_cut(1.0, 1.0)),
         ),
     )

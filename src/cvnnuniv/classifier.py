@@ -16,7 +16,6 @@ include points close to (and on) the declared cuts.
 from __future__ import annotations
 
 import dataclasses
-import json
 
 import numpy as np
 
@@ -72,9 +71,6 @@ class ClassificationReport:
         doc = dataclasses.asdict(self)
         doc["version"] = __version__
         return doc
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
 def _scale_of(f, pts):
@@ -295,7 +291,7 @@ def _deep_stage(sigma, prepared, tol):
     ae_flag = False
     if not (poly_found or holomorphic or antiholomorphic):
         deep = YES
-    elif sigma.continuous or isolated_only:
+    elif isolated_only:
         deep = NO
     else:
         ae_flag = True

@@ -22,7 +22,6 @@ from .constructor import (
     JET_LIMIT,
     ConstructorConfig,
     lift_dimension,
-    reads_relu_eps,
     synthesize_deep,
     synthesize_shallow,
 )
@@ -59,7 +58,6 @@ def _build_parser():
     p.add_argument("--deep", action="store_true", help="build a deep network instead of a shallow one")
     p.add_argument("--layers", type=int, default=2)
     p.add_argument("--dims", type=int, default=1)
-    p.add_argument("--eps", type=float, default=None)
     p.add_argument("--override", action="store_true", help="skip the classifier verdict gate")
     p.add_argument("--network-out", default=None, help="also write the network weights JSON here")
 
@@ -112,7 +110,7 @@ def _check_ranges(args):
             raise UsageError(f"--{flag} must be at least {low}, got {value}")
     if getattr(args, "degree", 0) > JET_LIMIT:
         raise UsageError(f"--degree must be at most {JET_LIMIT}, the highest order monomial extraction reaches")
-    for flag in ("radius", "tol", "eps"):
+    for flag in ("radius", "tol"):
         value = getattr(args, flag, None)
         if value is not None and not value > 0:
             raise UsageError(f"--{flag} must be positive, got {value}")
@@ -146,13 +144,8 @@ def _cmd_classify(args):
 def _cmd_approximate(args):
     sigma = by_name(args.activation)
     target = resolve_target(args.target)
-    if args.eps is not None and not reads_relu_eps(target, args.dims, args.deep):
-        raise UsageError("--eps sets the ReLU surrogate's budget, read only by --deep --target relu_c with --dims 1")
     radius = args.radius if args.radius is not None else 1.0
-    overrides = {"seed": args.seed}
-    if args.eps is not None:
-        overrides["relu_eps"] = args.eps
-    config = ConstructorConfig(**overrides)
+    config = ConstructorConfig(seed=args.seed)
     gate = not args.override
     if args.deep:
         net, cert = synthesize_deep(

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
-import json
 import math
 
 import numpy as np
@@ -49,6 +48,8 @@ REAL_STAGE_WIDTH = 320
 PSI_WIDTH = 160
 RIDGE_FIT_POINTS = 4000
 DEEP_RELU_EPS = 0.15
+# budget of the ReLU surrogate that deep synthesis of max(0, Re z) itself on C^1 deepens
+PIVOT_RELU_EPS = 0.1
 DEEP_RIDGE_WIDTH = 16
 
 
@@ -62,7 +63,6 @@ class ConstructorConfig:
     """Settable policy for the synthesis routines; echoed into every certificate."""
 
     seed: int = 0
-    relu_eps: float = 0.1
 
     def echo(self):
         return dataclasses.asdict(self)
@@ -90,9 +90,6 @@ class ApproximationCertificate:
         doc["failures"] = list(self.failures)
         doc["version"] = __version__
         return doc
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
 def _domain_dict(center, radius, d):
@@ -405,7 +402,7 @@ def _relu_surrogate(sigma, radius, eps):
     return build_relu_c(sigma, radius, eps, gate=False), False
 
 
-def pad_with_identity(net, sigma, extra_layers, radius, exact_composer=False):
+def pad_with_identity(net, sigma, extra_layers, radius):
     """Deepen ``net`` by composing near-identity single layers onto its output.
 
     For activations whose self-composition is exactly max(0, Re z) the padding
@@ -415,7 +412,7 @@ def pad_with_identity(net, sigma, extra_layers, radius, exact_composer=False):
     """
     if extra_layers <= 0:
         return net
-    if exact_composer:
+    if _is_exact_relu_composer(sigma):
         pad = _passthrough_net()
     else:
         ident_u = _extract_exactly(sigma, {(1, 0): 1.0}, _search_grid(sigma))
@@ -485,15 +482,10 @@ def _ridge_stage(sigma, trunk, target, center, radius, d, width, rng, lawson):
     return RidgeNetwork(ridge, trunk), {"stage1_sup": stage1_sup, "refit_sup_on_fit_points": refit_sup}
 
 
-def reads_relu_eps(target, d, deep):
-    """True when synthesis of ``target`` on C^d reads ``ConstructorConfig.relu_eps``.
-
-    Only deep synthesis of max(0, Re z) itself on C^1 does: it builds the ReLU
-    surrogate to that budget and deepens it.  Every other run uses the fixed
-    ``DEEP_RELU_EPS`` surrogate or none.
-    """
+def _is_pivot(target, d):
+    """True when ``target`` on C^d is max(0, Re z) itself on C^1, which deep synthesis builds directly."""
     # a timed or traced target is a functools.wraps wrapper of the built-in one
-    return deep and d == 1 and inspect.unwrap(target) is targets.relu_c
+    return d == 1 and inspect.unwrap(target) is targets.relu_c
 
 
 def synthesize_deep(sigma, target, d, L, domain, config=None, target_name="custom", gate=True):
@@ -514,13 +506,13 @@ def synthesize_deep(sigma, target, d, L, domain, config=None, target_name="custo
     center, radius = _ball(domain, d)
     stage_errors = {}
 
-    if reads_relu_eps(target, d, deep=True):
+    if _is_pivot(target, d):
         # the target is the pivot function itself: deepen the surrogate only
-        rho_hat, exact = _relu_surrogate(sigma, radius, config.relu_eps)
-        net = pad_with_identity(rho_hat, sigma, L - 2, radius + 1.0, exact_composer=exact)
+        rho_hat, _ = _relu_surrogate(sigma, radius, PIVOT_RELU_EPS)
+        net = pad_with_identity(rho_hat, sigma, L - 2, radius + 1.0)
     else:
         rho_hat, exact = _relu_surrogate(sigma, 1.3, DEEP_RELU_EPS)
-        rho_deep = pad_with_identity(rho_hat, sigma, L - 2, 1.3, exact_composer=exact)
+        rho_deep = pad_with_identity(rho_hat, sigma, L - 2, 1.3)
         width = DEEP_RIDGE_WIDTH if not exact else REAL_STAGE_WIDTH
         rng = np.random.default_rng(config.seed)
         net, stage_errors = _ridge_stage(sigma, rho_deep, target, center, radius, d, width, rng, lawson=4)

@@ -13,7 +13,6 @@ can.
 from __future__ import annotations
 
 import dataclasses
-import json
 import re
 
 import numpy as np
@@ -56,9 +55,6 @@ class InvariantReport:
         doc["version"] = __version__
         return doc
 
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
-
 
 @dataclasses.dataclass(frozen=True)
 class FloorTable:
@@ -84,9 +80,6 @@ class FloorTable:
             "fit_method": self.fit_method,
             "version": __version__,
         }
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
     def to_csv(self):
         lines = ["width,sup_error,l1_error"]

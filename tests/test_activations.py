@@ -5,7 +5,7 @@ import pytest
 
 from cvnnuniv.activations import activation_catalog, activation_names, by_name
 from cvnnuniv.errors import ActivationSingularityError
-from cvnnuniv.grids import random_points
+from cvnnuniv.grids import cut_distance, random_points
 
 
 def test_catalog_covers_required_names():
@@ -61,7 +61,7 @@ def test_marked_continuous_entries_are_continuous():
     rng = np.random.default_rng(1)
     base = random_points(0.0, 2.0, 10_000, rng)[:, 0]
     for spec in activation_catalog():
-        if not spec.continuous:
+        if spec.discontinuity_set:
             continue
         gaps = []
         for h in (1e-4, 1e-6):
@@ -88,11 +88,28 @@ def test_tanh_singularity_is_an_error():
     assert np.isfinite(tanh(1.0 + 1j))
 
 
+def _cut_samples(cut):
+    """Points of ``cut`` within radius 5 of its anchor (all anchors of a points cut)."""
+    if cut.kind == "points":
+        return np.asarray(cut.anchors, dtype=complex)
+    t = np.linspace(0.0 if cut.kind == "ray" else -5.0, 5.0, 101)
+    return cut.anchors[0] + t * cut.direction / abs(cut.direction)
+
+
 def test_metadata_consistency():
     for spec in activation_catalog():
-        if spec.continuous:
-            assert spec.discontinuity_set == (), spec.name
+        # sigma is not smooth where it is not continuous: a discontinuity is non-smooth or singular
+        for cut in spec.discontinuity_set:
+            dist = cut_distance(_cut_samples(cut), tuple(spec.nonsmooth_set) + tuple(spec.singular_points))
+            assert np.max(dist) <= 1e-12, spec.name
         assert spec.locally_bounded, spec.name
+
+
+def test_smooth_follows_from_the_nonsmooth_set():
+    nonsmooth = {"ratio", "zlog", "rho_c", "example_4_8", "arcsin_principal"}
+    assert {spec.name: spec.smooth for spec in activation_catalog()} == {
+        name: name not in nonsmooth for name in activation_names()
+    }
 
 
 def test_unknown_name():

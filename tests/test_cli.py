@@ -126,7 +126,6 @@ def test_format_csv_only_on_floor_exits_2_before_work(tmp_path, monkeypatch):
         ["approximate", "--activation", "ratio", "--target", "cone", "--deep", "--layers", "1"],
         ["approximate", "--activation", "ratio", "--target", "cone", "--radius", "-1"],
         ["approximate", "--activation", "ratio", "--target", "cone", "--dims", "0"],
-        ["approximate", "--activation", "ratio", "--target", "relu_c", "--deep", "--eps", "0"],
         ["classify", "--activation", "ratio", "--tol", "-1"],
         ["invariants", "--activation", "sin", "--layers", "0"],
         ["invariants", "--activation", "sin", "--trials", "0"],
@@ -305,19 +304,13 @@ def test_unwritable_output_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_eps_outside_deep_relu_c_exits_2(tmp_path, capsys):
-    # only the deep relu_c surrogate reads --eps; anywhere else it would only change the echo
+    # the ReLU surrogate's budget is fixed, so --eps is an unknown flag on every run, deep relu_c on C^1 included
     out, net = tmp_path / "cert.json", tmp_path / "net.json"
     approx = ["approximate", "--activation", "ratio", "--degree", "2", "--eps", "0.5"]
     runs = (["--target", "cone"], ["--target", "cone", "--deep"], ["--target", "cone", "--dims", "2"])
-    for extra in runs + (["--target", "relu_c"], ["--target", "relu_c", "--deep", "--dims", "2"]):
+    runs += (["--target", "relu_c"], ["--target", "relu_c", "--deep"], ["--target", "relu_c", "--deep", "--dims", "2"])
+    for extra in runs:
         argv = approx + extra + ["--out", str(out), "--network-out", str(net)]
         assert run_cli(argv) == 2, extra
         assert "--eps" in capsys.readouterr().err
         assert not out.exists() and not net.exists()
-
-
-def test_eps_reaches_deep_relu_c(tmp_path):
-    out = tmp_path / "cert.json"
-    argv = ["approximate", "--activation", "ratio", "--target", "relu_c", "--deep", "--eps", "0.5", "--override"]
-    assert run_cli(argv + ["--out", str(out)]) == 0
-    assert json.loads(out.read_text())["config_echo"]["relu_eps"] == 0.5

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import json
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from cvnnuniv import classifier, constructor, wirtinger
 from cvnnuniv.activations import ActivationSpec, by_name
 from cvnnuniv.constructor import (
     JET_LIMIT,
+    PIVOT_RELU_EPS,
     PSI_WIDTH,
     REAL_STAGE_WIDTH,
     RIDGE_FIT_POINTS,
@@ -229,9 +231,9 @@ def test_synthesize_error_monotone_in_degree():
 
 
 def test_synthesize_deterministic():
-    _, a = synthesize_shallow(RATIO, cone, (0.0, 1.0), 4, CFG, target_name="cone", gate=False)
-    _, b = synthesize_shallow(RATIO, cone, (0.0, 1.0), 4, CFG, target_name="cone", gate=False)
-    assert a.to_json() == b.to_json()
+    certs = [synthesize_shallow(RATIO, cone, (0.0, 1.0), 4, CFG, target_name="cone", gate=False)[1] for _ in range(2)]
+    a, b = (json.dumps(cert.to_json_dict(), sort_keys=True, indent=2) for cert in certs)
+    assert a == b
 
 
 def test_shallow_refusal_gate():
@@ -326,6 +328,22 @@ def test_synthesize_deep_reduces_to_relu_build():
     net3, cert3 = synthesize_deep(RATIO, relu_c, 1, 3, (0.0, 2.0), CFG, target_name="relu_c", gate=False)
     assert net3.hidden_layers == 3
     assert cert3.sup_error <= 0.2
+
+
+def test_deep_relu_c_is_the_padded_pivot_surrogate():
+    # ratio builds the surrogate to PIVOT_RELU_EPS; example_4_8 composes with itself to max(0, Re z) exactly
+    surrogates = {
+        "ratio": build_relu_c(RATIO, 2.0, PIVOT_RELU_EPS, gate=False),
+        "example_4_8": constructor.compose(constructor._passthrough_net(), constructor._passthrough_net()),
+    }
+    for name, surrogate in surrogates.items():
+        sigma = by_name(name)
+        for L in (2, 3):
+            net, _ = synthesize_deep(sigma, relu_c, 1, L, (0.0, 2.0), CFG, target_name="relu_c", gate=False)
+            want = pad_with_identity(surrogate, sigma, L - 2, 3.0)
+            assert len(net.layers) == len(want.layers) == L + 1, (name, L)
+            for (a, b), (wa, wb) in zip(net.layers, want.layers):
+                assert np.array_equal(_bits(a), _bits(wa)) and np.array_equal(_bits(b), _bits(wb)), (name, L)
 
 
 def test_synthesize_deep_chooses_path_by_target_not_label():
