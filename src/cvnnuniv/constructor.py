@@ -328,7 +328,7 @@ def synthesize_shallow(sigma, target, domain, degree, config=None, target_name="
     f = sigma.raw if moll is None else mollify(sigma, moll)
     u = make_grid(0.0, 1.0, FIT_POINTS_PER_AXIS, staggered=True).scalars
     fvals = np.asarray(target(center + radius * u), dtype=complex)
-    coef, fit_sup = _refit_design(f(u[:, None] * nodes[None, :] + theta), fvals, lawson=4)
+    coef, fit_sup = _refit_design(_design(f(u[:, None] * nodes[None, :] + theta)), fvals, lawson=4)
     net = _rescale_shallow(_lattice_network(coef[0], coef[1:], nodes, theta, moll), center, radius)
     echo = {**config.echo(), "degree": degree}
     stage_errors = {"refit_sup_on_fit_points": fit_sup}
@@ -432,9 +432,13 @@ def _ridge_parameters(rng, count, d, radius):
     return w, gamma
 
 
-def _refit_design(features, fvals, lawson=0):
-    """Coefficients (constant first) fitting ``fvals``; optional sup-oriented passes."""
-    design = np.concatenate([np.ones((features.shape[0], 1)), features], axis=1)
+def _design(features):
+    """A column of ones, then ``features``: the design of a fit whose first coefficient is the constant."""
+    return np.concatenate([np.ones((features.shape[0], 1)), features], axis=1)
+
+
+def _refit_design(design, fvals, lawson=0):
+    """Coefficients fitting ``fvals`` on the columns of ``design``; optional sup-oriented passes."""
 
     def weighted_fit(w):
         root = np.sqrt(w)
@@ -471,13 +475,18 @@ def _ridge_stage(sigma, trunk, target, center, radius, d, width, rng, lawson):
     fvals = np.asarray(target(fit_pts), dtype=complex)
     w, gamma = _ridge_parameters(rng, width, d, radius)
     pre = (fit_pts - center) @ w.T + gamma
-    _, stage1_sup = _refit_design(np.maximum(0.0, pre.real), fvals)
+    _, stage1_sup = _refit_design(_design(np.maximum(0.0, pre.real)), fvals)
     s = 1.05 * np.maximum(np.max(np.abs(pre), axis=0), 1e-9)
     bias = [gamma[j] / s[j] - (w[j] @ center) / s[j] for j in range(width)]
-    # all ridges share the trunk: evaluate it once on the stacked scaled pre-activations
-    flat = np.asarray(eval_network(trunk, sigma, (pre / s).T.reshape(-1)), dtype=complex)
-    features = flat.reshape(width, fvals.size).T * s
-    coef, refit_sup = _refit_design(features, fvals, lawson=lawson)
+    # all ridges share the trunk: evaluate it once on the stacked scaled pre-activations;
+    # each stack-sized array is released once the next exists, before the refit's solves
+    stacked = (pre / s).T.reshape(-1)
+    del pre
+    flat = np.asarray(eval_network(trunk, sigma, stacked), dtype=complex)
+    del stacked
+    design = _design(flat.reshape(width, fvals.size).T * s)
+    del flat
+    coef, refit_sup = _refit_design(design, fvals, lawson=lawson)
     ridge = ShallowNetwork(coef[0], coef[1:] * s, w / s[:, None], bias)
     return RidgeNetwork(ridge, trunk), {"stage1_sup": stage1_sup, "refit_sup_on_fit_points": refit_sup}
 
@@ -544,7 +553,7 @@ def lift_dimension(sigma, target, domain, d, config=None, target_name="custom", 
     c_k = random_points(0.0, 2.0, PSI_WIDTH, rng)[:, 0]
     feats = sigma.raw(psi_grid.scalars[:, None] * u_k[None, :] + c_k[None, :])
     rho_vals = np.maximum(0.0, psi_grid.scalars.real) + 0j
-    alpha, psi_sup = _refit_design(feats, rho_vals)
+    alpha, psi_sup = _refit_design(_design(feats), rho_vals)
     psi = ShallowNetwork(alpha[0], alpha[1:], u_k[:, None], c_k).to_network()
 
     net, stage_errors = _ridge_stage(sigma, psi, target, center, radius, d, REAL_STAGE_WIDTH, rng, lawson=8)

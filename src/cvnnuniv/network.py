@@ -13,15 +13,23 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import threading
 
 import numpy as np
 
+from .activations import ActivationSpec
 from .errors import ActivationSingularityError
 
 FORMAT_TAG = "cvnn-network/1"
 RIDGE_FORMAT_TAG = "cvnn-network/2"
 # entries of the widest layer per row block of an evaluation: 1 MB per complex array, so a block stays in cache
 CHUNK_ENTRIES = 1 << 16
+# row blocks of one evaluation run on one worker thread per CPU this process may use
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_pool = None
+_pool_lock = threading.Lock()
+_in_worker = threading.local()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -82,12 +90,16 @@ def _batch(z, d):
 
 
 def _activate(sigma, pre):
-    """sigma(pre); raises ``ActivationSingularityError`` on a declared singularity or a non-finite value."""
+    """sigma(pre); raises ``ActivationSingularityError`` on a declared singularity or a non-finite value.
+
+    An :class:`ActivationSpec` checks its own values for finiteness; any
+    other callable, such as a trunk network, is checked here.
+    """
     try:
         vals = sigma(pre)
     except ActivationSingularityError:
         raise ActivationSingularityError("activation singularity hit") from None
-    if not np.all(np.isfinite(vals)):
+    if not isinstance(sigma, ActivationSpec) and not np.all(np.isfinite(vals)):
         raise ActivationSingularityError("activation singularity hit")
     return vals
 
@@ -104,19 +116,58 @@ def _row_chunks(n, width):
     return [slice(lo, hi) for lo, hi in zip([0, *stops], stops)]
 
 
+def _mark_worker():
+    _in_worker.active = True
+
+
+def _block_pool():
+    """The module's thread pool of ``_WORKERS`` workers, started on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            # imported on first use: concurrent.futures pulls in logging, which would lengthen every start-up
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="cvnnuniv-eval", initializer=_mark_worker)
+        return _pool
+
+
+def _forget_pool():
+    """In a forked child, which has none of the parent's workers: the next fan-out starts a pool of its own."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
 def _blockwise(z, d, width, evaluate):
     """``evaluate`` on row blocks of the inputs ``z`` of a d-input network, into one output.
 
     A lone point is evaluated as a two-row block of itself, so that it gets
-    the value it would get inside a batch.
+    the value it would get inside a batch.  The blocks of a call with several
+    go to the thread pool, each writing its own slice of the output; every
+    value is the one the serial loop computes.  A call made inside a worker,
+    such as a ridge's trunk, runs its blocks serially, so that no worker
+    waits on the pool it belongs to.
     """
     batch, point = _batch(z, d)
     n = batch.shape[0]
     if n == 1:
         batch = np.repeat(batch, 2, axis=0)
     out = np.empty(batch.shape[0], dtype=complex)
-    for rows in _row_chunks(batch.shape[0], width):
+    chunks = _row_chunks(batch.shape[0], width)
+
+    def fill(rows):
         out[rows] = evaluate(batch[rows])
+
+    if len(chunks) > 1 and _WORKERS > 1 and not getattr(_in_worker, "active", False):
+        # results come back in block order, so the first failing block raises, as in the serial loop
+        list(_block_pool().map(fill, chunks))
+    else:
+        for rows in chunks:
+            fill(rows)
     return complex(out[0]) if point else out[:n]
 
 
@@ -129,7 +180,9 @@ def eval_network(theta, sigma, z):
 
     def evaluate(cur):
         for a, b in theta.layers[:-1]:
-            cur = _activate(sigma, cur @ a.T + b)
+            pre = cur @ a.T
+            pre += b
+            cur = _activate(sigma, pre)
         a, b = theta.layers[-1]
         return (cur @ a.T + b)[:, 0]
 

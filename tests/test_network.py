@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cvnnuniv import network
-from cvnnuniv.activations import by_name
+from cvnnuniv.activations import ActivationSpec, by_name
 from cvnnuniv.errors import ActivationSingularityError
 from cvnnuniv.grids import random_points
 from cvnnuniv.network import (
@@ -445,3 +449,154 @@ def test_ridge_network_round_trip_bit_exact(tmp_path):
         assert np.array_equal(_bits(getattr(back.ridge, name)), _bits(getattr(net.ridge, name)))
     for (a1, b1), (a2, b2) in zip(net.trunk.layers, back.trunk.layers, strict=True):
         assert np.array_equal(_bits(a1), _bits(a2)) and np.array_equal(_bits(b1), _bits(b2))
+
+
+def _use_workers(monkeypatch, count):
+    """Evaluate with ``count`` workers on a fresh pool; returns a function that shuts that pool down."""
+    monkeypatch.setattr(network, "_WORKERS", count)
+    monkeypatch.setattr(network, "_pool", None)
+
+    def shutdown():
+        if network._pool is not None:
+            network._pool.shutdown()
+
+    return shutdown
+
+
+def test_pooled_blocks_match_the_serial_loop(monkeypatch):
+    rng = np.random.default_rng(16)
+    s = _shallow_net(rng, 2, 300, outer_scale=1e3)
+    cases = (
+        (eval_shallow, s),
+        (eval_network, s.to_network()),
+        (eval_network, random_net(rng, d=2, hidden=(60, 50, 40), scale=3.0)),
+        (eval_ridge, RidgeNetwork(_shallow_net(rng, 2, 30, outer_scale=1e3), random_net(rng, hidden=(40, 30)))),
+    )
+    batch = random_points(0.0, 1.5, 5000, rng, d=2)
+    # hundreds of blocks per call, so that the workers interleave
+    monkeypatch.setattr(network, "CHUNK_ENTRIES", 1 << 12)
+    _use_workers(monkeypatch, 1)
+    serial = [evaluate(net, RATIO, batch) for evaluate, net in cases]
+    assert network._pool is None
+    # two workers, then more workers than cores with a short switch interval: a lost block write would show
+    switch = sys.getswitchinterval()
+    for workers in (2, (os.cpu_count() or 1) + 2):
+        shutdown = _use_workers(monkeypatch, workers)
+        sys.setswitchinterval(1e-5)
+        try:
+            for (evaluate, net), want in zip(cases, serial):
+                assert np.array_equal(_bits(evaluate(net, RATIO, batch)), _bits(want))
+            assert network._pool is not None
+        finally:
+            sys.setswitchinterval(switch)
+            shutdown()
+
+
+def _run_python(code, timeout):
+    """Run ``code`` in a fresh interpreter that imports this checkout's package; False if it timed out."""
+    import cvnnuniv
+
+    src = str(Path(cvnnuniv.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    try:
+        subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        return False
+    return True
+
+
+_NESTED_RIDGES = """
+import numpy as np
+from cvnnuniv import network
+from cvnnuniv.activations import by_name
+from cvnnuniv.network import NetworkWeights, RidgeNetwork, ShallowNetwork
+
+rng = np.random.default_rng(17)
+c = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+trunk = NetworkWeights(((c(64, 1), c(64)), (c(1, 64), c(1))))
+ridges = RidgeNetwork(ShallowNetwork(0.0, c(64), c(64, 2), c(64)), trunk)
+network._WORKERS = 2
+# four ridge blocks, each evaluating its trunk in 64 blocks: nested fan-out would hold both workers waiting
+out = network.eval_ridge(ridges, by_name("ratio"), 0.3 * c(4096, 2))
+assert out.shape == (4096,) and np.all(np.isfinite(out))
+"""
+
+
+def test_ridge_trunks_inside_workers_do_not_wait_on_the_pool():
+    # in a child process: a deadlocked pool's workers would also block this interpreter's exit
+    assert _run_python(_NESTED_RIDGES, timeout=120), "eval_ridge did not finish: a worker waits on its own pool"
+
+
+_FORK_AFTER_POOL = """
+import multiprocessing
+import numpy as np
+from cvnnuniv import network
+from cvnnuniv.activations import by_name
+
+rng = np.random.default_rng(18)
+s = network.ShallowNetwork(0.0, rng.standard_normal(300), rng.standard_normal((300, 1)), rng.standard_normal(300))
+zs = rng.standard_normal(5000) + 0j
+network._WORKERS = 2
+want = network.eval_shallow(s, by_name("ratio"), zs)
+assert network._pool is not None
+
+
+def child():
+    raise SystemExit(0 if np.array_equal(network.eval_shallow(s, by_name("ratio"), zs), want) else 1)
+
+
+proc = multiprocessing.get_context("fork").Process(target=child)
+proc.start()
+proc.join(60)
+if proc.is_alive():
+    proc.kill()
+    proc.join()
+    raise SystemExit("the forked child's evaluation did not finish")
+assert proc.exitcode == 0
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_forked_child_evaluates_on_a_pool_of_its_own():
+    # the child inherits the parent's pool object but none of its threads
+    assert _run_python(_FORK_AFTER_POOL, timeout=120)
+
+
+def _reciprocal(z):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return 1.0 / (z - 2.0)
+
+
+@pytest.mark.parametrize(
+    "sigma, pole",
+    [
+        (by_name("tanh"), 1j * np.pi / 2),
+        (ActivationSpec("reciprocal", fn=_reciprocal), 2.0),
+        (_reciprocal, 2.0),
+    ],
+    ids=["declared", "spec-nonfinite", "callable-nonfinite"],
+)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_singularity_in_a_late_block_raises(sigma, pole, workers, monkeypatch):
+    shutdown = _use_workers(monkeypatch, workers)
+    # eight copies of the neuron z -> sigma(z): 8192 rows per block, the pole in the last of seven blocks
+    s = ShallowNetwork(0.0, np.ones(8), np.ones((8, 1)), np.zeros(8))
+    zs = np.linspace(-0.5, 0.5, 50000) + 0j
+    zs[-1] = pole
+    assert len(network._row_chunks(zs.size, s.width)) == 7
+    try:
+        with pytest.raises(ActivationSingularityError, match="activation singularity hit"):
+            eval_shallow(s, sigma, zs)
+        with pytest.raises(ActivationSingularityError, match="activation singularity hit"):
+            eval_network(s.to_network(), sigma, zs)
+    finally:
+        shutdown()
+
+
+def test_importing_the_package_starts_no_thread():
+    code = (
+        "import threading, cvnnuniv, cvnnuniv.cli\n"
+        "assert threading.active_count() == 1, threading.enumerate()\n"
+        "assert cvnnuniv.network._pool is None\n"
+    )
+    assert _run_python(code, timeout=60)
