@@ -220,9 +220,14 @@ def _is_exact_relu_composer(sigma):
 
 
 def _classification_points(sigma, config):
-    """Raw-path points, mollified-path points, and near-cut probes."""
-    base = make_grid(0.0, config.grid_radius, GRID_POINTS_PER_AXIS)
-    pts = base.scalars
+    """Raw-path points, mollified-path points, and near-cut probes, all on the mollifier's lattice.
+
+    Off the lattice some quadrature arguments fall on a cut; on the grids of
+    radius 1, 2, 3, 4 and 8 the rounding moves no point.
+    """
+    pts = make_grid(0.0, config.grid_radius, GRID_POINTS_PER_AXIS).scalars.copy()
+    spacing = _MOLLIFIER.spacing
+    pts.real, pts.imag = spacing * np.round(pts.real / spacing), spacing * np.round(pts.imag / spacing)
     point_cuts = tuple(c for c in avoid_set(sigma) if c.kind == "points")
     curve_cuts = tuple(c for c in avoid_set(sigma) if c.kind != "points")
     mask = np.ones(pts.size, dtype=bool)

@@ -29,7 +29,7 @@ from .errors import CvnnError, SynthesisRefusedError
 from .grids import make_grid
 from .network import save_network
 from .targets import resolve_target, target_names
-from .verify import check_network_invariant, error_floor_experiment
+from .verify import check_network_invariant, error_floor_experiment, parse_kind
 
 
 class UsageError(Exception):
@@ -116,18 +116,6 @@ def _check_ranges(args):
             raise UsageError(f"--{flag} must be positive, got {value}")
 
 
-def _normalize_kind(kind):
-    if kind in ("dbar", "dbar_vanishes"):
-        return "dbar_vanishes"
-    if kind in ("d", "d_vanishes"):
-        return "d_vanishes"
-    if kind.startswith("laplacian:"):
-        return f"laplacian_power_vanishes({int(kind.split(':', 1)[1])})"
-    if kind.startswith("laplacian_power_vanishes("):
-        return kind
-    raise UsageError(f"unknown invariant kind {kind!r}")
-
-
 def _cmd_classify(args):
     sigma = by_name(args.activation)
     overrides = {}
@@ -167,7 +155,10 @@ def _cmd_approximate(args):
 
 def _cmd_invariants(args):
     sigma = by_name(args.activation)
-    kind = _normalize_kind(args.kind)
+    try:
+        kind, _, _ = parse_kind(args.kind)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     radius = args.radius if args.radius is not None else 1.5
     grid = make_grid(0.0, radius, 17)
     report = check_network_invariant(sigma, args.layers, kind, grid, trials=args.trials, seed=args.seed)
@@ -184,6 +175,8 @@ def _cmd_floor(args):
         raise UsageError(f"malformed widths {args.widths!r}") from None
     if not widths or min(widths) < 1:
         raise UsageError(f"--widths needs at least one width, each at least 1, got {args.widths!r}")
+    if any(b <= a for a, b in zip(widths, widths[1:])):
+        raise UsageError(f"--widths must be strictly increasing, got {args.widths!r}")
     radius = args.radius if args.radius is not None else 1.0
     table = error_floor_experiment(sigma, target, widths, (0.0, radius), seed=args.seed)
     if args.format == "csv":

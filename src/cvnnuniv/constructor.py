@@ -33,12 +33,13 @@ from .network import (
     eval_ridge,
     eval_shallow,
 )
-from .wirtinger import make_mollifier, mollify, stencil_halfwidth, stencil_weights, wirtinger_terms
+from .wirtinger import LatticeMollification, make_mollifier, stencil_halfwidth, stencil_weights, wirtinger_terms
 
 JET_LIMIT = 7
 # mollifier used when extraction must cross a non-smooth set
 SYNTH_MOLLIFIER_EPS = 0.05
 SYNTH_MOLLIFIER_Q = 12
+_SYNTH_MOLLIFIER = make_mollifier(SYNTH_MOLLIFIER_EPS, SYNTH_MOLLIFIER_Q)
 # fixed numerical policy; the certificate's version pins it
 FIT_POINTS_PER_AXIS = 48
 TEST_POINTS_PER_AXIS = 65
@@ -144,7 +145,7 @@ def _best_candidate(f, cand, nodes, tables):
 
 
 def find_active_point(sigma, nodes, tables, search_grid):
-    """(theta, mollifier, rho, active): the point of ``search_grid`` where the most monomials are active.
+    """(theta, mollified, rho, active): the point of ``search_grid`` where the most monomials are active.
 
     ``nodes`` and ``tables`` are a lattice of :func:`_wirtinger_tables`, and
     rho[i] = sum_j tables[i, j] f(nodes[j] + theta) is the lattice's estimate
@@ -154,8 +155,8 @@ def find_active_point(sigma, nodes, tables, search_grid):
     active, then by the smallest |rho| / noise among those.  f is sigma at the
     points whose lattice footprint keeps clear of the non-smooth set (every
     point when sigma is smooth); the mollified activation on the whole grid,
-    whose ``MollifierSpec`` is returned in place of None, is used instead only
-    when it activates more monomials.
+    a :class:`LatticeMollification` returned in place of None, is used
+    instead only when it activates more monomials.
     """
     pts = points_of(search_grid)
     reach = float(np.max(np.abs(nodes))) * 1.1 + 0.02
@@ -163,27 +164,28 @@ def find_active_point(sigma, nodes, tables, search_grid):
     count, theta, rho, active = _best_candidate(sigma.raw, cand, nodes, tables)
     moll = None
     if not sigma.smooth and count < len(tables):
-        spec = make_mollifier(SYNTH_MOLLIFIER_EPS, SYNTH_MOLLIFIER_Q)
-        smoothed = _best_candidate(mollify(sigma, spec), pts, nodes, tables)
-        if smoothed[0] > count:
-            _, theta, rho, active = smoothed
-            moll = spec
+        smoothed = LatticeMollification(sigma, _SYNTH_MOLLIFIER)
+        best = _best_candidate(smoothed, pts, nodes, tables)
+        if best[0] > count:
+            _, theta, rho, active = best
+            moll = smoothed
     return theta, moll, rho, active
 
 
 def _lattice_network(constant, a, nodes, theta, moll):
     """Shallow network ``constant + sum_k a[k] sigma(nodes[k] z + theta)`` on one lattice at one theta.
 
-    When theta was found on the mollified activation (``moll`` is its
-    ``MollifierSpec``), each neuron is expanded into the sum of translates of
-    sigma that the mollifier's quadrature makes of it.
+    When theta was found on the mollified activation ``moll``, each neuron is
+    expanded into the sum of translates of sigma that its spec's quadrature
+    makes of it.
     """
     if moll is None:
         return ShallowNetwork(constant, a, nodes[:, None], np.full(nodes.size, theta))
     # neuron (node k, translate q) is sigma(w_k z + theta - delta_q), in node-major order
-    a = (moll.weights[None, :] * a[:, None]).ravel()
-    b = np.tile(theta - moll.offsets, nodes.size)
-    return ShallowNetwork(constant, a, np.repeat(nodes, moll.offsets.size)[:, None], b)
+    spec = moll.spec
+    a = (spec.weights[None, :] * a[:, None]).ravel()
+    b = np.tile(theta - spec.offsets, nodes.size)
+    return ShallowNetwork(constant, a, np.repeat(nodes, spec.offsets.size)[:, None], b)
 
 
 def extract_monomial(sigma, coeffs, search):
@@ -325,7 +327,7 @@ def synthesize_shallow(sigma, target, domain, degree, config=None, target_name="
         lattice, tables = _wirtinger_tables(monomials)
         theta, moll, _, active = find_active_point(sigma, lattice, tables, _search_grid(sigma))
         nodes = lattice[np.any(tables[active] != 0, axis=0)]
-    f = sigma.raw if moll is None else mollify(sigma, moll)
+    f = sigma.raw if moll is None else moll
     u = make_grid(0.0, 1.0, FIT_POINTS_PER_AXIS, staggered=True).scalars
     fvals = np.asarray(target(center + radius * u), dtype=complex)
     coef, fit_sup = _refit_design(_design(f(u[:, None] * nodes[None, :] + theta)), fvals, lawson=4)

@@ -25,20 +25,29 @@ from .grids import Grid, make_grid, points_of
 from .network import NetworkWeights
 from .wirtinger import jet_entries_at
 
-_LAP_RE = re.compile(r"^laplacian_power_vanishes\((\d+)\)$")
+_LAP_RE = re.compile(r"laplacian:([0-9]+)|laplacian_power_vanishes\(([0-9]+)\)")
 VALUE_CAP = 1e6
 
 
-def _parse_kind(kind):
-    if kind == "dbar_vanishes":
-        return (0, 1), 1.0
-    if kind == "d_vanishes":
-        return (1, 0), 1.0
-    match = _LAP_RE.match(kind)
-    if match:
-        m = int(match.group(1))
-        return (m, m), 4.0**m
-    raise ValueError(f"unknown invariant kind {kind!r}")
+def parse_kind(kind):
+    """(canonical name, jet entry, factor) of an invariant kind.
+
+    ``kind`` is ``dbar``, ``d``, ``laplacian:<m>`` or a canonical name
+    (``dbar_vanishes``, ``d_vanishes``, ``laplacian_power_vanishes(<m>)``),
+    with m >= 1; the residual is ``factor`` times the jet entry.  Raises
+    ``ValueError`` for anything else.
+    """
+    if kind in ("dbar", "dbar_vanishes"):
+        return "dbar_vanishes", (0, 1), 1.0
+    if kind in ("d", "d_vanishes"):
+        return "d_vanishes", (1, 0), 1.0
+    match = _LAP_RE.fullmatch(kind)
+    if not match:
+        raise ValueError(f"unknown invariant kind {kind!r}")
+    m = int(match.group(1) or match.group(2))
+    if m < 1:
+        raise ValueError(f"invariant kind {kind!r}: the Laplacian power must be at least 1")
+    return f"laplacian_power_vanishes({m})", (m, m), 4.0**m
 
 
 @dataclasses.dataclass(frozen=True)
@@ -167,7 +176,7 @@ def check_network_invariant(sigma, depth, kind, grid, trials=20, seed=0):
     max(1, sup |network|) per network; points where the composition blows up
     (activation poles, overflowing towers) are skipped and counted.
     """
-    entry, factor = _parse_kind(kind)
+    kind, entry, factor = parse_kind(kind)
     pts = points_of(grid)
     rng = np.random.default_rng(seed)
     worst = 0.0

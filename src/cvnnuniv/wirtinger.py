@@ -218,13 +218,12 @@ class MollifierSpec:
     """Midpoint-rule discretization of the bump kernel of support ``epsilon``.
 
     ``offsets``/``weights`` give the discrete convolution nodes; the weights
-    sum to 1 by construction (the normalization constant is computed with the
-    same quadrature).
+    sum to 1 by construction (the kernel is normalized with the same
+    quadrature).
     """
 
     epsilon: float
     quadrature_points_per_axis: int
-    normalization: float
     offsets: np.ndarray
     weights: np.ndarray
 
@@ -256,13 +255,7 @@ def make_mollifier(epsilon, quadrature_points_per_axis=64):
     mask = vals > 0.0
     weights = (norm * cell) * vals[mask]
     offsets = eps * uu[mask]
-    return MollifierSpec(
-        epsilon=eps,
-        quadrature_points_per_axis=q,
-        normalization=norm,
-        offsets=offsets,
-        weights=weights,
-    )
+    return MollifierSpec(epsilon=eps, quadrature_points_per_axis=q, offsets=offsets, weights=weights)
 
 
 _CHUNK = 4_000_000
@@ -320,22 +313,16 @@ def _by_nodes(sigma, spec, flat):
 def mollify(sigma, spec):
     """Smooth ``sigma`` by discrete convolution with the bump kernel.
 
-    Returns a vectorized function ``z -> (eta_eps * sigma)(z)`` evaluated by
-    the spec's quadrature, node by node at every point.  Non-finite samples
-    of ``sigma`` (declared singularities form a null set) are skipped.
-    :class:`LatticeMollification` is the same function with sigma evaluated
-    once per argument of the spec's lattice.
+    Returns the vectorized function ``z -> (eta_eps * sigma)(z)`` evaluated
+    by the spec's quadrature, a :class:`LatticeMollification`.  Non-finite
+    samples of ``sigma`` (declared singularities form a null set) are
+    skipped.
     """
-
-    def smoothed(z):
-        z = np.asarray(z, dtype=complex)
-        return _by_nodes(sigma, spec, z.ravel()).reshape(z.shape)
-
-    return smoothed
+    return LatticeMollification(sigma, spec)
 
 
 class LatticeMollification:
-    """``mollify(sigma, spec)`` with sigma evaluated once per argument of the spec's lattice.
+    """The spec's quadrature of the convolution of sigma, with sigma evaluated once per argument of its lattice.
 
     Lattice contract: the quadrature nodes of :func:`make_mollifier` sit half
     a spacing off the lattice ``spacing * Z^2`` (on it for odd q), with
@@ -354,8 +341,8 @@ class LatticeMollification:
     ones and forms the rest anew.  Every sample is a pure function of (u, v)
     and every value one fixed-length sum, so a value has the same bits
     alone, in any batch, and whether or not it or its samples were held
-    before.  Every other point takes the node-by-node quadrature of
-    :func:`mollify`.
+    before.  Every other point takes the node-by-node quadrature
+    (:func:`_by_nodes`).
 
     Step rule: stencils on lattice points stay on the lattice when each step
     is a whole number of spacings, which :meth:`snap_steps` rounds to.  On

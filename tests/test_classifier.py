@@ -227,17 +227,27 @@ def _copy(spec, fn=None, **changes):
 
 
 def test_mollified_classify_evaluates_sigma_once_per_lattice_argument():
-    # the mollifier has 1264 nodes; evaluating each stencil node's quadrature on its own costs about 6.4e7 points
+    # the mollifier has 1264 nodes; evaluating each stencil node's quadrature on its own costs about 6.4e7 points.
+    # The radius-1.5 grid steps by 37.5 lattice spacings: its points are rounded to the lattice too (about 5e7
+    # points when every other one is off it)
     ratio = by_name("ratio")
-    points = []
+    for radius in (2.0, 1.5):
+        points = []
 
-    def counting(z):
-        points.append(np.size(z))
-        return ratio.raw(z)
+        def counting(z):
+            points.append(np.size(z))
+            return ratio.raw(z)
 
-    rep = classify(_copy(ratio, fn=counting))
-    assert (rep.shallow_universal, rep.deep_universal) == ("yes", "yes")
-    assert sum(points) <= 6e6
+        rep = classify(_copy(ratio, fn=counting), ClassifierConfig(grid_radius=radius))
+        assert (rep.shallow_universal, rep.deep_universal) == ("yes", "yes")
+        assert sum(points) <= 6e6, radius
+
+
+def test_example_4_8_at_an_off_lattice_radius():
+    # off the lattice some quadrature arguments fall on the real axis, where example_4_8 differs from Re z
+    rep = classify(by_name("example_4_8"), ClassifierConfig(grid_radius=1.5))
+    assert (rep.shallow_universal, rep.deep_universal, rep.polyharmonic_order) == ("no", "yes", 1)
+    assert rep.ae_equal_but_discontinuous
 
 
 def test_mollified_classify_forms_one_sum_per_distinct_lattice_point(monkeypatch):

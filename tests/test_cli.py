@@ -131,6 +131,12 @@ def test_format_csv_only_on_floor_exits_2_before_work(tmp_path, monkeypatch):
         ["invariants", "--activation", "sin", "--trials", "0"],
         ["floor", "--activation", "ratio", "--target", "cone", "--widths", "0"],
         ["floor", "--activation", "ratio", "--target", "cone", "--widths", ","],
+        ["invariants", "--activation", "sin", "--kind", "laplacian:x"],
+        ["invariants", "--activation", "sin", "--kind", "laplacian:-1"],
+        ["invariants", "--activation", "sin", "--kind", "laplacian:0"],
+        ["invariants", "--activation", "sin", "--kind", "laplacian_power_vanishes(x)"],
+        ["floor", "--activation", "ratio", "--target", "cone", "--widths", "100,50"],
+        ["floor", "--activation", "ratio", "--target", "cone", "--widths", "50,50"],
     ],
 )
 def test_out_of_range_flag_exits_2_before_work(argv, tmp_path, capsys, monkeypatch):

@@ -120,9 +120,9 @@ def test_find_active_point_cases():
     assert active.tolist() == [False, True, True]
 
 
-def test_mollified_search_rho_is_the_node_quadrature_bit_for_bit(monkeypatch):
-    # the search grid plus the dilation lattice puts some samples on the synthesis mollifier's own
-    # lattice (spacing 2 eps / q = 1/120); every sample must still be the node-by-node quadrature
+def test_mollified_search_rho_is_the_lattice_mollification_bit_for_bit(monkeypatch):
+    # the search grid plus the dilation lattice puts some samples on the synthesis mollifier's own lattice
+    # (spacing 2 eps / q = 1/120), where they take the lattice sum; every other sample is the node-by-node quadrature
     zlog = by_name("zlog")
     nodes, tables = _wirtinger_tables([(m, ell) for m in range(5) for ell in range(5) if 1 <= m + ell <= 4])
     search = _search_grid(zlog)
@@ -136,14 +136,21 @@ def test_mollified_search_rho_is_the_node_quadrature_bit_for_bit(monkeypatch):
     monkeypatch.setattr(constructor, "_best_candidate", recording)
     find_active_point(zlog, nodes, tables, search)
     ((smoothed, cand, (_, theta, rho, _)),) = [call for call in calls if call[0] != zlog.raw]
-    spec = make_mollifier(constructor.SYNTH_MOLLIFIER_EPS, constructor.SYNTH_MOLLIFIER_Q)
+    spec = constructor._SYNTH_MOLLIFIER
+    assert isinstance(smoothed, wirtinger.LatticeMollification) and smoothed.spec is spec
     z = cand[:, None] + nodes[None, :]
     lattice = z / spec.spacing
-    assert np.any((np.abs(lattice.real - np.rint(lattice.real)) < 1e-9) & (np.abs(lattice.imag - np.rint(lattice.imag)) < 1e-9))
+    on = (np.abs(lattice.real - np.rint(lattice.real)) < 1e-9) & (np.abs(lattice.imag - np.rint(lattice.imag)) < 1e-9)
+    assert np.any(on)
+    values = wirtinger.LatticeMollification(zlog, spec)(z)
+    assert np.array_equal(smoothed(z).view(np.uint64), values.view(np.uint64))
     samples = zlog.raw(z.ravel()[:, None] - spec.offsets[None, :])
-    samples = (np.where(np.isfinite(samples), samples, 0.0) @ spec.weights).reshape(z.shape)
-    assert np.array_equal(smoothed(z).view(np.uint64), samples.view(np.uint64))
-    want = (samples @ tables.T)[list(cand).index(theta)]
+    samples = np.where(np.isfinite(samples), samples, 0.0)
+    quadrature = (samples @ spec.weights).reshape(z.shape)
+    assert np.array_equal(values[~on].view(np.uint64), quadrature[~on].view(np.uint64))
+    bound = 1e-13 * (np.abs(samples) @ spec.weights).reshape(z.shape)
+    assert np.all(np.abs(values[on] - quadrature[on]) <= bound[on])
+    want = (values @ tables.T)[list(cand).index(theta)]
     assert np.array_equal(rho.view(np.uint64), want.view(np.uint64))
 
 
@@ -457,7 +464,7 @@ def test_shallow_arrays_round_as_the_per_neuron_formulas():
             terms = [
                 (float(weight) * a_j, [w_node], theta - delta)
                 for a_j, w_node in node_terms
-                for delta, weight in zip(moll.offsets, moll.weights)
+                for delta, weight in zip(moll.spec.offsets, moll.spec.weights)
             ]
         return [(complex(a), np.asarray(w, dtype=complex), complex(b)) for a, w, b in terms]
 

@@ -10,6 +10,7 @@ from cvnnuniv.verify import (
     check_network_invariant,
     error_floor_experiment,
     holomorphy_of_best_fit,
+    parse_kind,
 )
 from cvnnuniv.wirtinger import laplacian_power
 
@@ -136,3 +137,14 @@ def test_invariant_report_serializes():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="unknown invariant kind"):
         check_network_invariant(by_name("sin"), 1, "nonsense", GRID)
+
+
+def test_parse_kind_takes_short_and_canonical_names():
+    assert parse_kind("dbar") == parse_kind("dbar_vanishes") == ("dbar_vanishes", (0, 1), 1.0)
+    assert parse_kind("d") == parse_kind("d_vanishes") == ("d_vanishes", (1, 0), 1.0)
+    assert parse_kind("laplacian:2") == parse_kind("laplacian_power_vanishes(2)") == ("laplacian_power_vanishes(2)", (2, 2), 16.0)
+    for kind in ("laplacian:x", "laplacian:-1", "laplacian:0", "laplacian_power_vanishes(x)", "laplacian_power_vanishes(0)"):
+        with pytest.raises(ValueError):
+            parse_kind(kind)
+    # the report echoes the canonical name
+    assert check_network_invariant(by_name("sin"), 1, "dbar", GRID, trials=1).invariant_kind == "dbar_vanishes"

@@ -180,7 +180,7 @@ def _lattice_points(spec, centers, seed, step=4, half=5, reach=700):
 
 
 def _by_nodes(sigma, spec, z):
-    # the node-by-node quadrature in blocks of _CHUNK samples: mollify, and the off-lattice path
+    # the node-by-node quadrature in blocks of _CHUNK samples: the off-lattice path
     out = np.zeros(z.shape, dtype=complex)
     block = max(1, wirtinger._CHUNK // spec.offsets.size)
     for start in range(0, z.size, block):
@@ -208,11 +208,14 @@ def test_lattice_mollification_off_lattice_is_the_node_quadrature_bit_for_bit():
     assert np.array_equal(got.view(np.uint64), _by_nodes(sigma, spec, z).view(np.uint64))
 
 
-def test_mollify_is_the_node_quadrature_bit_for_bit_on_the_lattice_too():
+def test_mollify_is_the_lattice_mollification():
+    # one mollified function: mollify builds a LatticeMollification, whose values are a fresh instance's on and off the lattice
     sigma = by_name("zlog")
     spec = make_mollifier(0.05, 12)
-    z = _lattice_points(spec, 30, 16)
-    assert np.array_equal(mollify(sigma, spec)(z).view(np.uint64), _by_nodes(sigma, spec, z).view(np.uint64))
+    z = np.concatenate([_lattice_points(spec, 30, 16), random_points(0.0, 2.0, 500, np.random.default_rng(16))[:, 0]])
+    f = mollify(sigma, spec)
+    assert isinstance(f, LatticeMollification) and f.spec is spec
+    assert np.array_equal(f(z).view(np.uint64), LatticeMollification(sigma, spec)(z).view(np.uint64))
 
 
 @pytest.mark.parametrize("name", ["ratio", "abs2"])
