@@ -13,23 +13,16 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
-import threading
 
 import numpy as np
 
+from . import workers
 from .activations import ActivationSpec
 from .errors import ActivationSingularityError
+from .workers import CHUNK_ENTRIES
 
 FORMAT_TAG = "cvnn-network/1"
 RIDGE_FORMAT_TAG = "cvnn-network/2"
-# entries of the widest layer per row block of an evaluation: 1 MB per complex array, so a block stays in cache
-CHUNK_ENTRIES = 1 << 16
-# row blocks of one evaluation run on one worker thread per CPU this process may use
-_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_pool = None
-_pool_lock = threading.Lock()
-_in_worker = threading.local()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -116,41 +109,15 @@ def _row_chunks(n, width):
     return [slice(lo, hi) for lo, hi in zip([0, *stops], stops)]
 
 
-def _mark_worker():
-    _in_worker.active = True
-
-
-def _block_pool():
-    """The module's thread pool of ``_WORKERS`` workers, started on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            # imported on first use: concurrent.futures pulls in logging, which would lengthen every start-up
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="cvnnuniv-eval", initializer=_mark_worker)
-        return _pool
-
-
-def _forget_pool():
-    """In a forked child, which has none of the parent's workers: the next fan-out starts a pool of its own."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
 def _blockwise(z, d, width, evaluate):
     """``evaluate`` on row blocks of the inputs ``z`` of a d-input network, into one output.
 
     A lone point is evaluated as a two-row block of itself, so that it gets
     the value it would get inside a batch.  The blocks of a call with several
-    go to the thread pool, each writing its own slice of the output; every
-    value is the one the serial loop computes.  A call made inside a worker,
-    such as a ridge's trunk, runs its blocks serially, so that no worker
-    waits on the pool it belongs to.
+    go to the package's thread pool (:mod:`cvnnuniv.workers`), each writing
+    its own slice of the output; every value is the one the serial loop
+    computes.  A call made inside a worker, such as a ridge's trunk, runs its
+    blocks serially.
     """
     batch, point = _batch(z, d)
     n = batch.shape[0]
@@ -162,9 +129,9 @@ def _blockwise(z, d, width, evaluate):
     def fill(rows):
         out[rows] = evaluate(batch[rows])
 
-    if len(chunks) > 1 and _WORKERS > 1 and not getattr(_in_worker, "active", False):
+    if len(chunks) > 1 and workers.pooled():
         # results come back in block order, so the first failing block raises, as in the serial loop
-        list(_block_pool().map(fill, chunks))
+        list(workers.pool().map(fill, chunks))
     else:
         for rows in chunks:
             fill(rows)

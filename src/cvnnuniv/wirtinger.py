@@ -13,13 +13,16 @@ compactly supported bump kernel so the stencils above apply.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import math
 
 import numpy as np
 
+from . import workers
 from .errors import StencilSingularityError
+from .workers import CHUNK_ENTRIES
 
 
 def fd_weights(order, offsets):
@@ -310,6 +313,21 @@ def _by_nodes(sigma, spec, flat):
     return out
 
 
+def _weighted_sums(flat, corners, window, weights):
+    """``flat[corner + window] @ weights`` per corner, each one fixed-length sum (a gemv may round a row otherwise).
+
+    Rows are summed in blocks of about ``CHUNK_ENTRIES`` samples; a row's sum
+    does not depend on the block it is in.
+    """
+    out = np.empty(corners.size, dtype=complex)
+    chunk = max(1, CHUNK_ENTRIES // weights.size)
+    for s in range(0, corners.size, chunk):
+        samples = flat[corners[s : s + chunk, None] + window]
+        samples *= weights
+        out[s : s + chunk] = samples.sum(axis=1)
+    return out
+
+
 def mollify(sigma, spec):
     """Smooth ``sigma`` by discrete convolution with the bump kernel.
 
@@ -343,6 +361,16 @@ class LatticeMollification:
     alone, in any batch, and whether or not it or its samples were held
     before.  Every other point takes the node-by-node quadrature
     (:func:`_by_nodes`).
+
+    Order rule: the calling thread takes the cells of points in order,
+    assembles each cell's box, samples sigma and holds tiles and values
+    against the budget exactly as a serial pass would; only the weighted sums
+    run on the package's worker pool (:mod:`cvnnuniv.workers`), which calls
+    no activation.  At most ``_WORKERS + 1`` cells are in flight (their sums
+    on the pool and the cell being sampled), which bounds the boxes alive at
+    once.  So sigma sees the same arguments in the same order, the same
+    samples and values are held, and every value has the same bits, for any
+    number of workers.
 
     Step rule: stencils on lattice points stay on the lattice when each step
     is a whole number of spacings, which :meth:`snap_steps` rounds to.  On
@@ -399,7 +427,8 @@ class LatticeMollification:
         """Values at the sample-space window corners ``(u, v)`` (int64 arrays), one _GROUP x _GROUP cell at a time.
 
         Each distinct corner is formed once: a held value is read back, and
-        only new corners go to :meth:`_cell_values`.
+        only new corners go to :meth:`_cell_values`, whose sums are collected
+        in cell order.
         """
         cu, cv = u // _GROUP, v // _GROUP
         # corners within a cell are keyed by their offset from its first corner, so no key overflows
@@ -408,25 +437,51 @@ class LatticeMollification:
         order = np.argsort(cell, kind="stable")
         bounds = np.flatnonzero(np.diff(cell[order])) + 1
         out = np.empty(u.shape, dtype=complex)
-        for sel in np.split(order, bounds):
-            at = (int(cu[sel[0]]), int(cv[sel[0]]))
-            keys, inverse = np.unique(local[sel], return_inverse=True)
-            held_keys, held_values = self.values.get(at, _NONE_HELD)
-            pos = np.searchsorted(held_keys, keys)
-            found = pos < held_keys.size
-            found[found] = held_keys[pos[found]] == keys[found]
-            values = np.empty(keys.size, dtype=complex)
-            values[found] = held_values[pos[found]]
-            new = ~found
-            if new.any():
-                fresh = keys[new]
-                values[new] = self._cell_values(fresh // _GROUP + at[0] * _GROUP, fresh % _GROUP + at[1] * _GROUP)
-                self._hold_values(at, pos[new], fresh, values[new])
+        # cells whose sums are being formed on the pool: with the one being sampled, at most _WORKERS + 1
+        pending = collections.deque()
+        ahead = workers._WORKERS if workers.pooled() else 0
+
+        def collect(sel, inverse, values, new, sums, at, where, keys):
+            values[new] = sums.result()
+            if keys.size:
+                held_keys, held_values = self.values.get(at, _NONE_HELD)
+                formed = values[new][: keys.size]
+                self.values[at] = (np.insert(held_keys, where, keys), np.insert(held_values, where, formed))
             out[sel] = values[inverse]
+
+        try:
+            for sel in np.split(order, bounds):
+                at = (int(cu[sel[0]]), int(cv[sel[0]]))
+                keys, inverse = np.unique(local[sel], return_inverse=True)
+                held_keys, held_values = self.values.get(at, _NONE_HELD)
+                pos = np.searchsorted(held_keys, keys)
+                found = pos < held_keys.size
+                found[found] = held_keys[pos[found]] == keys[found]
+                values = np.empty(keys.size, dtype=complex)
+                values[found] = held_values[pos[found]]
+                new = ~found
+                if not new.any():
+                    out[sel] = values[inverse]
+                    continue
+                fresh = keys[new]
+                sums = self._cell_values(fresh // _GROUP + at[0] * _GROUP, fresh % _GROUP + at[1] * _GROUP)
+                take = self._reserve_values(fresh.size)
+                pending.append((sel, inverse, values, new, sums, at, pos[new][:take], fresh[:take]))
+                if len(pending) > ahead:
+                    collect(*pending.popleft())
+        finally:
+            # a cell whose sampling raised leaves the cells before it formed and held, as in a serial pass
+            while pending:
+                collect(*pending.popleft())
         return out
 
     def _cell_values(self, u, v):
-        """Values at the window corners ``(u, v)`` of one cell, read from one box of samples."""
+        """Values at the window corners ``(u, v)`` of one cell, read from one box of samples, as a future.
+
+        The box is assembled and sampled, and its tiles are held, on the
+        calling thread; the weighted sums go to the worker pool, and the
+        returned object's ``result()`` is their array.
+        """
         T, B = _TILE, _BLOCK
         tu = (int(u.min() - self.k.max()) // T, int(u.max() - self.k.min()) // T)
         tv = (int(v.min() - self.l.max()) // T, int(v.max() - self.l.min()) // T)
@@ -456,17 +511,9 @@ class LatticeMollification:
             box.reshape(height // B, B, width // B, B)[bu, :, bv, :] = self._sample(args)
             have |= missing
             self._hold(box, have, missing, tu[0], tv[0])
-        flat = box.ravel()
         corners = (u - u0) * width + (v - v0)
         window = -(self.k * width + self.l)
-        # one fixed-length weighted sum per point (a BLAS gemv may round a row differently in another batch)
-        out = np.empty(u.size, dtype=complex)
-        chunk = max(1, (_CHUNK // 16) // self.weights.size)
-        for s in range(0, u.size, chunk):
-            samples = flat[corners[s : s + chunk, None] + window]
-            samples *= self.weights
-            out[s : s + chunk] = samples.sum(axis=1)
-        return out
+        return workers.submit(_weighted_sums, box.ravel(), corners, window, self.weights)
 
     def _sample(self, args):
         """sigma at canonical ``args``, non-finite values set to 0, evaluated in pieces of exactly _PIECE entries."""
@@ -479,15 +526,11 @@ class LatticeMollification:
             out[s : s + _PIECE] = self.sigma.raw(full)[: piece.size]
         return _finite(out).reshape(args.shape)
 
-    def _hold_values(self, at, where, keys, values):
-        """Insert a cell's new values at their sorted places ``where``, first keys first, while the budget has room."""
-        take = min(keys.size, _HELD - _TILE**2 * len(self.tiles) - self.held_values)
-        if take <= 0:
-            return
-        held_keys, held_values = self.values.get(at, _NONE_HELD)
-        where = where[:take]
-        self.values[at] = (np.insert(held_keys, where, keys[:take]), np.insert(held_values, where, values[:take]))
+    def _reserve_values(self, count):
+        """How many of a cell's ``count`` new values, first keys first, the budget holds; they count as held at once."""
+        take = max(0, min(count, _HELD - _TILE**2 * len(self.tiles) - self.held_values))
         self.held_values += take
+        return take
 
     def _hold(self, box, have, missing, i0, j0):
         """Keep the box's tiles that gained samples, adding new tiles only while the budget has room."""

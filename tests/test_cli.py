@@ -9,7 +9,7 @@ from cvnnuniv.cli import run_cli
 from cvnnuniv.constructor import ConstructorConfig, synthesize_deep, synthesize_shallow
 from cvnnuniv.network import load_network
 from cvnnuniv.targets import resolve_target
-from cvnnuniv.verify import error_floor_experiment
+from cvnnuniv.verify import MAX_LAPLACIAN_POWER, error_floor_experiment
 
 
 def test_unknown_activation_exits_2(capsys):
@@ -137,6 +137,8 @@ def test_format_csv_only_on_floor_exits_2_before_work(tmp_path, monkeypatch):
         ["invariants", "--activation", "sin", "--kind", "laplacian_power_vanishes(x)"],
         ["floor", "--activation", "ratio", "--target", "cone", "--widths", "100,50"],
         ["floor", "--activation", "ratio", "--target", "cone", "--widths", "50,50"],
+        ["invariants", "--activation", "sin", "--kind", f"laplacian:{MAX_LAPLACIAN_POWER + 1}"],
+        ["invariants", "--activation", "sin", "--kind", "laplacian:600"],
     ],
 )
 def test_out_of_range_flag_exits_2_before_work(argv, tmp_path, capsys, monkeypatch):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvnnuniv import network
+from cvnnuniv import network, workers
 from cvnnuniv.activations import ActivationSpec, by_name
 from cvnnuniv.errors import ActivationSingularityError
 from cvnnuniv.grids import random_points
@@ -453,12 +453,12 @@ def test_ridge_network_round_trip_bit_exact(tmp_path):
 
 def _use_workers(monkeypatch, count):
     """Evaluate with ``count`` workers on a fresh pool; returns a function that shuts that pool down."""
-    monkeypatch.setattr(network, "_WORKERS", count)
-    monkeypatch.setattr(network, "_pool", None)
+    monkeypatch.setattr(workers, "_WORKERS", count)
+    monkeypatch.setattr(workers, "_pool", None)
 
     def shutdown():
-        if network._pool is not None:
-            network._pool.shutdown()
+        if workers._pool is not None:
+            workers._pool.shutdown()
 
     return shutdown
 
@@ -477,16 +477,16 @@ def test_pooled_blocks_match_the_serial_loop(monkeypatch):
     monkeypatch.setattr(network, "CHUNK_ENTRIES", 1 << 12)
     _use_workers(monkeypatch, 1)
     serial = [evaluate(net, RATIO, batch) for evaluate, net in cases]
-    assert network._pool is None
+    assert workers._pool is None
     # two workers, then more workers than cores with a short switch interval: a lost block write would show
     switch = sys.getswitchinterval()
-    for workers in (2, (os.cpu_count() or 1) + 2):
-        shutdown = _use_workers(monkeypatch, workers)
+    for count in (2, (os.cpu_count() or 1) + 2):
+        shutdown = _use_workers(monkeypatch, count)
         sys.setswitchinterval(1e-5)
         try:
             for (evaluate, net), want in zip(cases, serial):
                 assert np.array_equal(_bits(evaluate(net, RATIO, batch)), _bits(want))
-            assert network._pool is not None
+            assert workers._pool is not None
         finally:
             sys.setswitchinterval(switch)
             shutdown()
@@ -507,7 +507,7 @@ def _run_python(code, timeout):
 
 _NESTED_RIDGES = """
 import numpy as np
-from cvnnuniv import network
+from cvnnuniv import network, workers
 from cvnnuniv.activations import by_name
 from cvnnuniv.network import NetworkWeights, RidgeNetwork, ShallowNetwork
 
@@ -515,7 +515,7 @@ rng = np.random.default_rng(17)
 c = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 trunk = NetworkWeights(((c(64, 1), c(64)), (c(1, 64), c(1))))
 ridges = RidgeNetwork(ShallowNetwork(0.0, c(64), c(64, 2), c(64)), trunk)
-network._WORKERS = 2
+workers._WORKERS = 2
 # four ridge blocks, each evaluating its trunk in 64 blocks: nested fan-out would hold both workers waiting
 out = network.eval_ridge(ridges, by_name("ratio"), 0.3 * c(4096, 2))
 assert out.shape == (4096,) and np.all(np.isfinite(out))
@@ -530,15 +530,15 @@ def test_ridge_trunks_inside_workers_do_not_wait_on_the_pool():
 _FORK_AFTER_POOL = """
 import multiprocessing
 import numpy as np
-from cvnnuniv import network
+from cvnnuniv import network, workers
 from cvnnuniv.activations import by_name
 
 rng = np.random.default_rng(18)
 s = network.ShallowNetwork(0.0, rng.standard_normal(300), rng.standard_normal((300, 1)), rng.standard_normal(300))
 zs = rng.standard_normal(5000) + 0j
-network._WORKERS = 2
+workers._WORKERS = 2
 want = network.eval_shallow(s, by_name("ratio"), zs)
-assert network._pool is not None
+assert workers._pool is not None
 
 
 def child():
@@ -576,9 +576,9 @@ def _reciprocal(z):
     ],
     ids=["declared", "spec-nonfinite", "callable-nonfinite"],
 )
-@pytest.mark.parametrize("workers", [1, 2])
-def test_a_singularity_in_a_late_block_raises(sigma, pole, workers, monkeypatch):
-    shutdown = _use_workers(monkeypatch, workers)
+@pytest.mark.parametrize("count", [1, 2])
+def test_a_singularity_in_a_late_block_raises(sigma, pole, count, monkeypatch):
+    shutdown = _use_workers(monkeypatch, count)
     # eight copies of the neuron z -> sigma(z): 8192 rows per block, the pole in the last of seven blocks
     s = ShallowNetwork(0.0, np.ones(8), np.ones((8, 1)), np.zeros(8))
     zs = np.linspace(-0.5, 0.5, 50000) + 0j
@@ -597,6 +597,8 @@ def test_importing_the_package_starts_no_thread():
     code = (
         "import threading, cvnnuniv, cvnnuniv.cli\n"
         "assert threading.active_count() == 1, threading.enumerate()\n"
-        "assert cvnnuniv.network._pool is None\n"
+        "assert cvnnuniv.workers._pool is None\n"
+        "import sys\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
     )
     assert _run_python(code, timeout=60)

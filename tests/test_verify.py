@@ -6,6 +6,7 @@ from cvnnuniv.grids import make_grid, random_points
 from cvnnuniv.network import ShallowNetwork
 from cvnnuniv.targets import cone
 from cvnnuniv.verify import (
+    MAX_LAPLACIAN_POWER,
     FloorTable,
     check_network_invariant,
     error_floor_experiment,
@@ -143,7 +144,9 @@ def test_parse_kind_takes_short_and_canonical_names():
     assert parse_kind("dbar") == parse_kind("dbar_vanishes") == ("dbar_vanishes", (0, 1), 1.0)
     assert parse_kind("d") == parse_kind("d_vanishes") == ("d_vanishes", (1, 0), 1.0)
     assert parse_kind("laplacian:2") == parse_kind("laplacian_power_vanishes(2)") == ("laplacian_power_vanishes(2)", (2, 2), 16.0)
-    for kind in ("laplacian:x", "laplacian:-1", "laplacian:0", "laplacian_power_vanishes(x)", "laplacian_power_vanishes(0)"):
+    assert parse_kind(f"laplacian:{MAX_LAPLACIAN_POWER}")[1] == (MAX_LAPLACIAN_POWER, MAX_LAPLACIAN_POWER)
+    too_large = (f"laplacian:{MAX_LAPLACIAN_POWER + 1}", "laplacian:600", "laplacian_power_vanishes(600)")
+    for kind in ("laplacian:x", "laplacian:-1", "laplacian:0", "laplacian_power_vanishes(x)", "laplacian_power_vanishes(0)", *too_large):
         with pytest.raises(ValueError):
             parse_kind(kind)
     # the report echoes the canonical name

@@ -1,7 +1,13 @@
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from cvnnuniv import wirtinger
+from cvnnuniv import wirtinger, workers
 from cvnnuniv.activations import by_name
 from cvnnuniv.errors import StencilSingularityError
 from cvnnuniv.grids import random_points
@@ -317,6 +323,129 @@ def test_lattice_keys_at_the_lattice_reach(monkeypatch):
     assert np.all(np.abs(got - samples @ spec.weights) <= 1e-13 * (np.abs(samples) @ spec.weights))
     assert np.array_equal(f(z[::-1])[::-1].copy().view(np.uint64), got.view(np.uint64))
     assert sum(formed) == z.size
+
+
+def _counting(name):
+    """(activation, counts): ``name`` whose every call appends its point count to ``counts``."""
+    spec, counts = by_name(name), []
+
+    def fn(z):
+        counts.append(z.size)
+        return spec.raw(z)
+
+    return dataclasses.replace(spec, fn=fn), counts
+
+
+def _use_workers(monkeypatch, count):
+    """Form lattice sums with ``count`` workers on a fresh pool; returns a function that shuts that pool down."""
+    monkeypatch.setattr(workers, "_WORKERS", count)
+    monkeypatch.setattr(workers, "_pool", None)
+
+    def shutdown():
+        if workers._pool is not None:
+            workers._pool.shutdown()
+
+    return shutdown
+
+
+def _held_state(f):
+    """Everything a lattice holds: the tile keys and bits, and the value keys and bits, per cell."""
+    tiles = {key: (v.view(np.uint64).tobytes(), h.tobytes()) for key, (v, h) in f.tiles.items()}
+    values = {key: (k.tobytes(), v.view(np.uint64).tobytes()) for key, (k, v) in f.values.items()}
+    return tiles, values, f.held_values
+
+
+@pytest.mark.parametrize(
+    "budget", [None, 4 * wirtinger._TILE**2, 36 * wirtinger._TILE**2 + 100], ids=["default", "4-tiles", "tiles-and-values"]
+)
+def test_pooled_sums_match_the_serial_pass(budget, monkeypatch):
+    # stencils in 16 cells, twice over: sigma sees the same points, and the same samples and values are held;
+    # under the last budget the values a cell holds leave the next cells room for one tile fewer
+    spec = make_mollifier(0.05, 40)
+    z = _lattice_points(spec, 12, 19, step=20, half=3, reach=4000)
+    if budget is not None:
+        monkeypatch.setattr(wirtinger, "_HELD", budget)
+
+    def run(count):
+        shutdown = _use_workers(monkeypatch, count)
+        sigma, counts = _counting("ratio")
+        f = LatticeMollification(sigma, spec)
+        try:
+            got = [f(z).view(np.uint64), f(z[::-1]).view(np.uint64)]
+            assert (workers._pool is not None) == (count > 1)
+        finally:
+            shutdown()
+        return got, sum(counts), len(f.tiles), _held_state(f)
+
+    serial = run(1)
+    assert serial[1] > 0
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for count in (2, (os.cpu_count() or 1) + 2):
+            got, points, tiles, held = run(count)
+            assert all(np.array_equal(a, b) for a, b in zip(got, serial[0], strict=True))
+            assert (points, tiles, held) == serial[1:]
+    finally:
+        sys.setswitchinterval(switch)
+
+
+_LATTICE_IN_A_WORKER = """
+import numpy as np
+from cvnnuniv import workers
+from cvnnuniv.activations import by_name
+from cvnnuniv.wirtinger import LatticeMollification, make_mollifier
+
+spec = make_mollifier(0.05, 40)
+rng = np.random.default_rng(20)
+a, b = rng.integers(-4000, 4000, (2, 400))
+z = a * spec.spacing + 1j * (b * spec.spacing)
+workers._WORKERS = 2
+want = LatticeMollification(by_name("ratio"), spec)(z)
+# both workers busy with lattice calls whose cells would be handed to the pool they run on
+futures = [workers.pool().submit(LatticeMollification(by_name("ratio"), spec), z) for _ in range(2)]
+assert all(np.array_equal(f.result().view(np.uint64), want.view(np.uint64)) for f in futures)
+"""
+
+
+def test_a_lattice_called_inside_a_worker_does_not_wait_on_the_pool():
+    import cvnnuniv
+
+    # in a child process: a deadlocked pool's workers would also block this interpreter's exit
+    src = str(Path(cvnnuniv.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    try:
+        subprocess.run([sys.executable, "-c", _LATTICE_IN_A_WORKER], check=True, env=env, timeout=120)
+    except subprocess.TimeoutExpired:
+        pytest.fail("the lattice call did not finish: a worker waits on its own pool")
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_a_sample_that_raises_in_a_later_cell_surfaces_and_leaves_the_lattice_usable(count, monkeypatch):
+    spec = make_mollifier(0.05, 40)
+    z = _lattice_points(spec, 12, 21, step=20, half=3, reach=4000)
+    ratio = by_name("ratio")
+    failing = [True]
+
+    def fn(args):
+        # the cells are taken in order of their real index, so only the last ones sample this far right
+        if failing[0] and np.any(args.real > 0.8 * z.real.max()):
+            raise RuntimeError("sigma failed")
+        return ratio.raw(args)
+
+    shutdown = _use_workers(monkeypatch, count)
+    try:
+        f = LatticeMollification(dataclasses.replace(ratio, fn=fn), spec)
+        with pytest.raises(RuntimeError, match="sigma failed"):
+            f(z)
+        # the cells before the failing one are formed and held, every value counted once
+        assert 0 < f.held_values == sum(keys.size for keys, _ in f.values.values())
+        failing[0] = False
+        want = LatticeMollification(ratio, spec)(z)
+        assert np.array_equal(f(z).view(np.uint64), want.view(np.uint64))
+        assert f.held_values == np.unique(z).size
+    finally:
+        shutdown()
 
 
 # steps the callers use: the classifier's default and snapped steps, verify's per-point first-order steps
