@@ -442,11 +442,10 @@ class LatticeMollification:
         ahead = workers._WORKERS if workers.pooled() else 0
 
         def collect(sel, inverse, values, new, sums, at, where, keys):
-            values[new] = sums.result()
+            formed = values[new] = sums.result()
             if keys.size:
                 held_keys, held_values = self.values.get(at, _NONE_HELD)
-                formed = values[new][: keys.size]
-                self.values[at] = (np.insert(held_keys, where, keys), np.insert(held_values, where, formed))
+                self.values[at] = (np.insert(held_keys, where, keys), np.insert(held_values, where, formed[: keys.size]))
             out[sel] = values[inverse]
 
         try:

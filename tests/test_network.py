@@ -1,9 +1,7 @@
 import json
 import os
-import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -451,19 +449,7 @@ def test_ridge_network_round_trip_bit_exact(tmp_path):
         assert np.array_equal(_bits(a1), _bits(a2)) and np.array_equal(_bits(b1), _bits(b2))
 
 
-def _use_workers(monkeypatch, count):
-    """Evaluate with ``count`` workers on a fresh pool; returns a function that shuts that pool down."""
-    monkeypatch.setattr(workers, "_WORKERS", count)
-    monkeypatch.setattr(workers, "_pool", None)
-
-    def shutdown():
-        if workers._pool is not None:
-            workers._pool.shutdown()
-
-    return shutdown
-
-
-def test_pooled_blocks_match_the_serial_loop(monkeypatch):
+def test_pooled_blocks_match_the_serial_loop(monkeypatch, use_workers):
     rng = np.random.default_rng(16)
     s = _shallow_net(rng, 2, 300, outer_scale=1e3)
     cases = (
@@ -475,13 +461,13 @@ def test_pooled_blocks_match_the_serial_loop(monkeypatch):
     batch = random_points(0.0, 1.5, 5000, rng, d=2)
     # hundreds of blocks per call, so that the workers interleave
     monkeypatch.setattr(network, "CHUNK_ENTRIES", 1 << 12)
-    _use_workers(monkeypatch, 1)
+    use_workers(1)
     serial = [evaluate(net, RATIO, batch) for evaluate, net in cases]
     assert workers._pool is None
     # two workers, then more workers than cores with a short switch interval: a lost block write would show
     switch = sys.getswitchinterval()
     for count in (2, (os.cpu_count() or 1) + 2):
-        shutdown = _use_workers(monkeypatch, count)
+        use_workers(count)
         sys.setswitchinterval(1e-5)
         try:
             for (evaluate, net), want in zip(cases, serial):
@@ -489,20 +475,6 @@ def test_pooled_blocks_match_the_serial_loop(monkeypatch):
             assert workers._pool is not None
         finally:
             sys.setswitchinterval(switch)
-            shutdown()
-
-
-def _run_python(code, timeout):
-    """Run ``code`` in a fresh interpreter that imports this checkout's package; False if it timed out."""
-    import cvnnuniv
-
-    src = str(Path(cvnnuniv.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    try:
-        subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=timeout)
-    except subprocess.TimeoutExpired:
-        return False
-    return True
 
 
 _NESTED_RIDGES = """
@@ -522,9 +494,9 @@ assert out.shape == (4096,) and np.all(np.isfinite(out))
 """
 
 
-def test_ridge_trunks_inside_workers_do_not_wait_on_the_pool():
+def test_ridge_trunks_inside_workers_do_not_wait_on_the_pool(run_python):
     # in a child process: a deadlocked pool's workers would also block this interpreter's exit
-    assert _run_python(_NESTED_RIDGES, timeout=120), "eval_ridge did not finish: a worker waits on its own pool"
+    assert run_python(_NESTED_RIDGES, timeout=120), "eval_ridge did not finish: a worker waits on its own pool"
 
 
 _FORK_AFTER_POOL = """
@@ -557,9 +529,9 @@ assert proc.exitcode == 0
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-def test_a_forked_child_evaluates_on_a_pool_of_its_own():
+def test_a_forked_child_evaluates_on_a_pool_of_its_own(run_python):
     # the child inherits the parent's pool object but none of its threads
-    assert _run_python(_FORK_AFTER_POOL, timeout=120)
+    assert run_python(_FORK_AFTER_POOL, timeout=120)
 
 
 def _reciprocal(z):
@@ -577,23 +549,20 @@ def _reciprocal(z):
     ids=["declared", "spec-nonfinite", "callable-nonfinite"],
 )
 @pytest.mark.parametrize("count", [1, 2])
-def test_a_singularity_in_a_late_block_raises(sigma, pole, count, monkeypatch):
-    shutdown = _use_workers(monkeypatch, count)
+def test_a_singularity_in_a_late_block_raises(sigma, pole, count, use_workers):
+    use_workers(count)
     # eight copies of the neuron z -> sigma(z): 8192 rows per block, the pole in the last of seven blocks
     s = ShallowNetwork(0.0, np.ones(8), np.ones((8, 1)), np.zeros(8))
     zs = np.linspace(-0.5, 0.5, 50000) + 0j
     zs[-1] = pole
     assert len(network._row_chunks(zs.size, s.width)) == 7
-    try:
-        with pytest.raises(ActivationSingularityError, match="activation singularity hit"):
-            eval_shallow(s, sigma, zs)
-        with pytest.raises(ActivationSingularityError, match="activation singularity hit"):
-            eval_network(s.to_network(), sigma, zs)
-    finally:
-        shutdown()
+    with pytest.raises(ActivationSingularityError, match="activation singularity hit"):
+        eval_shallow(s, sigma, zs)
+    with pytest.raises(ActivationSingularityError, match="activation singularity hit"):
+        eval_network(s.to_network(), sigma, zs)
 
 
-def test_importing_the_package_starts_no_thread():
+def test_importing_the_package_starts_no_thread(run_python):
     code = (
         "import threading, cvnnuniv, cvnnuniv.cli\n"
         "assert threading.active_count() == 1, threading.enumerate()\n"
@@ -601,4 +570,4 @@ def test_importing_the_package_starts_no_thread():
         "import sys\n"
         "assert 'concurrent.futures' not in sys.modules\n"
     )
-    assert _run_python(code, timeout=60)
+    assert run_python(code, timeout=60)

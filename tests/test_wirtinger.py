@@ -1,8 +1,6 @@
 import dataclasses
 import os
-import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -336,18 +334,6 @@ def _counting(name):
     return dataclasses.replace(spec, fn=fn), counts
 
 
-def _use_workers(monkeypatch, count):
-    """Form lattice sums with ``count`` workers on a fresh pool; returns a function that shuts that pool down."""
-    monkeypatch.setattr(workers, "_WORKERS", count)
-    monkeypatch.setattr(workers, "_pool", None)
-
-    def shutdown():
-        if workers._pool is not None:
-            workers._pool.shutdown()
-
-    return shutdown
-
-
 def _held_state(f):
     """Everything a lattice holds: the tile keys and bits, and the value keys and bits, per cell."""
     tiles = {key: (v.view(np.uint64).tobytes(), h.tobytes()) for key, (v, h) in f.tiles.items()}
@@ -358,7 +344,7 @@ def _held_state(f):
 @pytest.mark.parametrize(
     "budget", [None, 4 * wirtinger._TILE**2, 36 * wirtinger._TILE**2 + 100], ids=["default", "4-tiles", "tiles-and-values"]
 )
-def test_pooled_sums_match_the_serial_pass(budget, monkeypatch):
+def test_pooled_sums_match_the_serial_pass(budget, monkeypatch, use_workers):
     # stencils in 16 cells, twice over: sigma sees the same points, and the same samples and values are held;
     # under the last budget the values a cell holds leave the next cells room for one tile fewer
     spec = make_mollifier(0.05, 40)
@@ -367,14 +353,11 @@ def test_pooled_sums_match_the_serial_pass(budget, monkeypatch):
         monkeypatch.setattr(wirtinger, "_HELD", budget)
 
     def run(count):
-        shutdown = _use_workers(monkeypatch, count)
+        use_workers(count)
         sigma, counts = _counting("ratio")
         f = LatticeMollification(sigma, spec)
-        try:
-            got = [f(z).view(np.uint64), f(z[::-1]).view(np.uint64)]
-            assert (workers._pool is not None) == (count > 1)
-        finally:
-            shutdown()
+        got = [f(z).view(np.uint64), f(z[::-1]).view(np.uint64)]
+        assert (workers._pool is not None) == (count > 1)
         return got, sum(counts), len(f.tiles), _held_state(f)
 
     serial = run(1)
@@ -408,20 +391,13 @@ assert all(np.array_equal(f.result().view(np.uint64), want.view(np.uint64)) for 
 """
 
 
-def test_a_lattice_called_inside_a_worker_does_not_wait_on_the_pool():
-    import cvnnuniv
-
+def test_a_lattice_called_inside_a_worker_does_not_wait_on_the_pool(run_python):
     # in a child process: a deadlocked pool's workers would also block this interpreter's exit
-    src = str(Path(cvnnuniv.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    try:
-        subprocess.run([sys.executable, "-c", _LATTICE_IN_A_WORKER], check=True, env=env, timeout=120)
-    except subprocess.TimeoutExpired:
-        pytest.fail("the lattice call did not finish: a worker waits on its own pool")
+    assert run_python(_LATTICE_IN_A_WORKER, timeout=120), "the lattice call did not finish: a worker waits on its own pool"
 
 
 @pytest.mark.parametrize("count", [1, 2])
-def test_a_sample_that_raises_in_a_later_cell_surfaces_and_leaves_the_lattice_usable(count, monkeypatch):
+def test_a_sample_that_raises_in_a_later_cell_surfaces_and_leaves_the_lattice_usable(count, use_workers):
     spec = make_mollifier(0.05, 40)
     z = _lattice_points(spec, 12, 21, step=20, half=3, reach=4000)
     ratio = by_name("ratio")
@@ -433,19 +409,16 @@ def test_a_sample_that_raises_in_a_later_cell_surfaces_and_leaves_the_lattice_us
             raise RuntimeError("sigma failed")
         return ratio.raw(args)
 
-    shutdown = _use_workers(monkeypatch, count)
-    try:
-        f = LatticeMollification(dataclasses.replace(ratio, fn=fn), spec)
-        with pytest.raises(RuntimeError, match="sigma failed"):
-            f(z)
-        # the cells before the failing one are formed and held, every value counted once
-        assert 0 < f.held_values == sum(keys.size for keys, _ in f.values.values())
-        failing[0] = False
-        want = LatticeMollification(ratio, spec)(z)
-        assert np.array_equal(f(z).view(np.uint64), want.view(np.uint64))
-        assert f.held_values == np.unique(z).size
-    finally:
-        shutdown()
+    use_workers(count)
+    f = LatticeMollification(dataclasses.replace(ratio, fn=fn), spec)
+    with pytest.raises(RuntimeError, match="sigma failed"):
+        f(z)
+    # the cells before the failing one are formed and held, every value counted once
+    assert 0 < f.held_values == sum(keys.size for keys, _ in f.values.values())
+    failing[0] = False
+    want = LatticeMollification(ratio, spec)(z)
+    assert np.array_equal(f(z).view(np.uint64), want.view(np.uint64))
+    assert f.held_values == np.unique(z).size
 
 
 # steps the callers use: the classifier's default and snapped steps, verify's per-point first-order steps
