@@ -341,6 +341,29 @@ def _held_state(f):
     return tiles, values, f.held_values
 
 
+def _unread_at_sampling(f, monkeypatch):
+    """[most cells whose sums ``f`` had not read when it began sampling another cell], over its calls."""
+    most, unread = [0], set()
+    cell_values = f._cell_values
+
+    class Read:
+        def __init__(self, sums):
+            self.sums = sums
+
+        def result(self):
+            unread.discard(self)
+            return self.sums.result()
+
+    def tracked(u, v):
+        most[0] = max(most[0], len(unread))
+        sums = Read(cell_values(u, v))
+        unread.add(sums)
+        return sums
+
+    monkeypatch.setattr(f, "_cell_values", tracked)
+    return most
+
+
 @pytest.mark.parametrize(
     "budget", [None, 4 * wirtinger._TILE**2, 36 * wirtinger._TILE**2 + 100], ids=["default", "4-tiles", "tiles-and-values"]
 )
@@ -356,8 +379,11 @@ def test_pooled_sums_match_the_serial_pass(budget, monkeypatch, use_workers):
         use_workers(count)
         sigma, counts = _counting("ratio")
         f = LatticeMollification(sigma, spec)
+        unread = _unread_at_sampling(f, monkeypatch)
         got = [f(z).view(np.uint64), f(z[::-1]).view(np.uint64)]
         assert (workers._pool is not None) == (count > 1)
+        # while a cell is sampled, the sums of the _WORKERS cells before it may be pending, and none when serial
+        assert unread[0] == (count if count > 1 else 0)
         return got, sum(counts), len(f.tiles), _held_state(f)
 
     serial = run(1)
