@@ -26,8 +26,8 @@ from .network import NetworkWeights
 from .wirtinger import jet_entries_at
 
 _LAP_RE = re.compile(r"laplacian:([0-9]+)|laplacian_power_vanishes\(([0-9]+)\)")
-# largest Laplacian power the stencils resolve: a vanishing Delta^5 reads at most 1e-2 at |z| < 1.4 with the
-# default steps, a vanishing Delta^6 (of z^6 zbar^5) reads 0.65 at 0.3 + 0.2i and 19 at 1.2 - 0.7i
+# largest Laplacian power the stencils resolve: with the default steps a vanishing Delta^5 (of z^5 zbar^4) reads
+# 4e-4 at 0.3 + 0.2i and 8e-3 at 1.2 - 0.7i, a vanishing Delta^6 (of z^6 zbar^5) 0.65 and 19
 MAX_LAPLACIAN_POWER = 5
 VALUE_CAP = 1e6
 
