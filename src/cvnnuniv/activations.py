@@ -1,9 +1,10 @@
 """Catalog of complex activation functions with continuity/smoothness metadata.
 
 Every activation is vectorized over complex ndarrays.  The metadata drives the
-rest of the library: grids avoid ``discontinuity_set``, the classifier and the
-constructor mollify whenever ``nonsmooth_set`` is declared, and
-``singular_points`` marks arguments where evaluation is an error (poles).
+rest of the library: grids avoid ``discontinuity_set``, the classifier
+mollifies whenever ``nonsmooth_set`` is declared and the constructor keeps its
+stencils clear of that set, and ``singular_points`` marks arguments where
+evaluation is an error (poles).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ class ActivationSpec:
 
     @property
     def smooth(self):
-        """C-infinity away from the declared singular points; non-smooth activations are mollified before stencils."""
+        """C-infinity away from the declared singular points; the classifier mollifies non-smooth ones."""
         return not self.nonsmooth_set
 
     def raw(self, z):

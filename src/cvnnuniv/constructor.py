@@ -33,13 +33,9 @@ from .network import (
     eval_ridge,
     eval_shallow,
 )
-from .wirtinger import LatticeMollification, make_mollifier, stencil_halfwidth, stencil_weights, wirtinger_terms
+from .wirtinger import stencil_halfwidth, stencil_weights, wirtinger_terms
 
 JET_LIMIT = 7
-# mollifier used when extraction must cross a non-smooth set
-SYNTH_MOLLIFIER_EPS = 0.05
-SYNTH_MOLLIFIER_Q = 12
-_SYNTH_MOLLIFIER = make_mollifier(SYNTH_MOLLIFIER_EPS, SYNTH_MOLLIFIER_Q)
 # fixed numerical policy; the certificate's version pins it
 FIT_POINTS_PER_AXIS = 48
 TEST_POINTS_PER_AXIS = 65
@@ -129,11 +125,25 @@ def _cuts(sigma):
     return tuple(sigma.nonsmooth_set) + tuple(sigma.discontinuity_set) + tuple(sigma.singular_points)
 
 
-def _best_candidate(f, cand, nodes, tables):
-    """(active count, theta, rho, active) at the best point of ``cand`` for the function ``f``; count -1 if none."""
+def find_active_point(sigma, nodes, tables, search_grid):
+    """(theta, rho, active): the point of ``search_grid`` where the most monomials are active.
+
+    ``nodes`` and ``tables`` are a lattice of :func:`_wirtinger_tables`, and
+    rho[i] = sum_j tables[i, j] sigma(nodes[j] + theta) is the lattice's
+    estimate of (d^m dbar^l sigma)(theta) for monomial i.  Monomial i is
+    active when |rho[i]| clears the noise floor max(1e-8, 100 * sum|tables[i]|
+    * 2.3e-16 * max(1, max|samples|)).  The candidates are the points whose
+    lattice footprint keeps clear of the non-smooth set (every point when
+    sigma is smooth); they rank by how many monomials are active, then by the
+    smallest |rho| / noise among those.  With no candidate, theta is 0 and
+    every monomial is inactive.
+    """
+    pts = points_of(search_grid)
+    reach = float(np.max(np.abs(nodes))) * 1.1 + 0.02
+    cand = pts if sigma.smooth else pts[cut_distance(pts, _cuts(sigma)) > reach]
     if cand.size == 0:
-        return -1, None, None, None
-    samples = f(cand[:, None] + nodes[None, :])
+        return 0j, np.zeros(len(tables), dtype=complex), np.zeros(len(tables), dtype=bool)
+    samples = sigma.raw(cand[:, None] + nodes[None, :])
     rho = samples @ tables.T
     scale = np.maximum(1.0, np.max(np.abs(samples), axis=1))
     noise = 100.0 * np.sum(np.abs(tables), axis=1)[None, :] * 2.3e-16 * scale[:, None]
@@ -141,51 +151,7 @@ def _best_candidate(f, cand, nodes, tables):
     count = np.sum(active, axis=1)
     margin = np.min(np.where(active, np.abs(rho) / noise, np.inf), axis=1)
     best = int(np.argmax(np.where(count == np.max(count), margin, -1.0)))
-    return int(count[best]), complex(cand[best]), rho[best], active[best]
-
-
-def find_active_point(sigma, nodes, tables, search_grid):
-    """(theta, mollified, rho, active): the point of ``search_grid`` where the most monomials are active.
-
-    ``nodes`` and ``tables`` are a lattice of :func:`_wirtinger_tables`, and
-    rho[i] = sum_j tables[i, j] f(nodes[j] + theta) is the lattice's estimate
-    of (d^m dbar^l f)(theta) for monomial i.  Monomial i is active when
-    |rho[i]| clears the noise floor max(1e-8, 100 * sum|tables[i]| * 2.3e-16
-    * max(1, max|samples|)).  Candidates rank by how many monomials are
-    active, then by the smallest |rho| / noise among those.  f is sigma at the
-    points whose lattice footprint keeps clear of the non-smooth set (every
-    point when sigma is smooth); the mollified activation on the whole grid,
-    a :class:`LatticeMollification` returned in place of None, is used
-    instead only when it activates more monomials.
-    """
-    pts = points_of(search_grid)
-    reach = float(np.max(np.abs(nodes))) * 1.1 + 0.02
-    cand = pts if sigma.smooth else pts[cut_distance(pts, _cuts(sigma)) > reach]
-    count, theta, rho, active = _best_candidate(sigma.raw, cand, nodes, tables)
-    moll = None
-    if not sigma.smooth and count < len(tables):
-        smoothed = LatticeMollification(sigma, _SYNTH_MOLLIFIER)
-        best = _best_candidate(smoothed, pts, nodes, tables)
-        if best[0] > count:
-            _, theta, rho, active = best
-            moll = smoothed
-    return theta, moll, rho, active
-
-
-def _lattice_network(constant, a, nodes, theta, moll):
-    """Shallow network ``constant + sum_k a[k] sigma(nodes[k] z + theta)`` on one lattice at one theta.
-
-    When theta was found on the mollified activation ``moll``, each neuron is
-    expanded into the sum of translates of sigma that its spec's quadrature
-    makes of it.
-    """
-    if moll is None:
-        return ShallowNetwork(constant, a, nodes[:, None], np.full(nodes.size, theta))
-    # neuron (node k, translate q) is sigma(w_k z + theta - delta_q), in node-major order
-    spec = moll.spec
-    a = (spec.weights[None, :] * a[:, None]).ravel()
-    b = np.tile(theta - spec.offsets, nodes.size)
-    return ShallowNetwork(constant, a, np.repeat(nodes, spec.offsets.size)[:, None], b)
+    return complex(cand[best]), rho[best], active[best]
 
 
 def extract_monomial(sigma, coeffs, search):
@@ -196,10 +162,10 @@ def extract_monomial(sigma, coeffs, search):
     monomial is a divided difference on one lattice (:func:`_wirtinger_tables`)
     at one theta (:func:`find_active_point`): neuron j is
     sigma(nodes[j] z + theta) with outer coefficient sum c * tables[j] / rho
-    over the active monomials, assembled by :func:`_lattice_network`.
-    ``failures`` names each monomial that is inactive at theta and so left
-    out.  Used for the exact polynomials of the ReLU surrogate and the
-    identity padding; shallow synthesis fits its outer coefficients instead.
+    over the active monomials.  ``failures`` names each monomial that is
+    inactive at theta and so left out.  Used for the exact polynomials of the
+    ReLU surrogate and the identity padding; shallow synthesis fits its outer
+    coefficients instead.
     """
     coeffs = dict(coeffs)
     if any(m < 0 or ell < 0 for m, ell in coeffs):
@@ -211,14 +177,14 @@ def extract_monomial(sigma, coeffs, search):
     if not monomials:
         return ShallowNetwork.constant(constant), []
     nodes, tables = _wirtinger_tables(monomials)
-    theta, moll, rho, active = find_active_point(sigma, nodes, tables, search)
+    theta, rho, active = find_active_point(sigma, nodes, tables, search)
     failures = [f"({m},{ell}): inactive expansion point" for (m, ell), ok in zip(monomials, active) if not ok]
     # one outer coefficient per node, summed monomial by monomial in sorted order with _cmul's rounding
     a = np.zeros(nodes.size, dtype=complex)
     for c, r, table in zip(np.array([coeffs[key] for key in monomials])[active], rho[active], tables[active]):
         a = a + _cmul(c / r, table)
     keep = a != 0
-    return _lattice_network(constant, a[keep], nodes[keep], theta, moll), failures
+    return ShallowNetwork(constant, a[keep], nodes[keep, None], np.full(np.count_nonzero(keep), theta)), failures
 
 
 def _extract_exactly(sigma, coeffs, search):
@@ -322,16 +288,16 @@ def synthesize_shallow(sigma, target, domain, degree, config=None, target_name="
         _require_verdict(sigma, "shallow_universal")
 
     monomials = [(m, total - m) for total in range(1, degree + 1) for m in range(total + 1)]
-    nodes, theta, moll = np.zeros(0, dtype=complex), 0j, None
+    nodes, theta = np.zeros(0, dtype=complex), 0j
     if monomials:
         lattice, tables = _wirtinger_tables(monomials)
-        theta, moll, _, active = find_active_point(sigma, lattice, tables, _search_grid(sigma))
+        theta, _, active = find_active_point(sigma, lattice, tables, _search_grid(sigma))
         nodes = lattice[np.any(tables[active] != 0, axis=0)]
-    f = sigma.raw if moll is None else moll
     u = make_grid(0.0, 1.0, FIT_POINTS_PER_AXIS, staggered=True).scalars
     fvals = np.asarray(target(center + radius * u), dtype=complex)
-    coef, fit_sup = _refit_design(_design(f(u[:, None] * nodes[None, :] + theta)), fvals, lawson=4)
-    net = _rescale_shallow(_lattice_network(coef[0], coef[1:], nodes, theta, moll), center, radius)
+    coef, fit_sup = _refit_design(_design(sigma.raw(u[:, None] * nodes[None, :] + theta)), fvals, lawson=4)
+    net_u = ShallowNetwork(coef[0], coef[1:], nodes[:, None], np.full(nodes.size, theta))
+    net = _rescale_shallow(net_u, center, radius)
     echo = {**config.echo(), "degree": degree}
     stage_errors = {"refit_sup_on_fit_points": fit_sup}
     return net, _certificate(net, sigma, target, center, radius, 1, config, target_name, echo, stage_errors)

@@ -27,11 +27,11 @@ from cvnnuniv.constructor import (
     _search_grid,
     _wirtinger_tables,
 )
-from cvnnuniv.errors import SynthesisRefusedError
+from cvnnuniv.errors import NoActivePointError, SynthesisRefusedError
 from cvnnuniv.grids import make_grid, random_points
 from cvnnuniv.network import RidgeNetwork, ShallowNetwork, eval_network, eval_ridge, eval_shallow
 from cvnnuniv.targets import cone, relu_c, resolve_target, rez
-from cvnnuniv.wirtinger import jet_entries_at, make_mollifier, mollify
+from cvnnuniv.wirtinger import jet_entries_at
 
 RATIO = by_name("ratio")
 ABS2 = by_name("abs2")
@@ -85,73 +85,57 @@ def test_abs2_quadratic_extrapolates():
     assert eval_shallow(mono, ABS2, 2.0 + 0j) == pytest.approx(4.0, abs=1e-3 * 4)
 
 
-def test_ratio_identity_through_mollified_path():
-    # the only candidate, theta = 0, sits on the non-smooth point, forcing the mollified expansion
-    mono, failures = extract_monomial(RATIO, {(1, 0): 1.0}, [0.0])
-    assert not failures and mono.width > 100  # translate-expanded neurons
-    got = eval_shallow(mono, RATIO, UNIT)
-    assert np.max(np.abs(got - UNIT)) <= 0.05
-    # normalization uses the derivative of the mollified activation at 0;
-    # oracle: high-resolution stencil of the finely quadratured mollification
-    smooth = mollify(RATIO, make_mollifier(0.05, 128))
-    h = 1e-4
-    d_oracle = ((smooth(h) - smooth(-h)) / (2 * h) - 1j * (smooth(1j * h) - smooth(-1j * h)) / (2 * h)) / 2
-    assert abs(d_oracle - 1.0) < 0.05  # d(ratio)(0) = 1, mollification shifts it only slightly
-
-
 def test_find_active_point_cases():
     search = make_grid(0.0, 1.0, 11)
     nodes, tables = _wirtinger_tables([(1, 1)])
-    theta, moll, rho, active = find_active_point(ABS2, nodes, tables, search)
-    assert moll is None and active.tolist() == [True]
+    theta, rho, active = find_active_point(ABS2, nodes, tables, search)
+    assert active.tolist() == [True]
     assert rho[0] == pytest.approx(1.0, rel=1e-6)
     # sin is holomorphic: its dbar jet vanishes at every candidate
     nodes, tables = _wirtinger_tables([(0, 1)])
-    _, _, _, active = find_active_point(by_name("sin"), nodes, tables, search)
+    _, _, active = find_active_point(by_name("sin"), nodes, tables, search)
     assert active.tolist() == [False]
     # ratio: raw candidates keep the lattice clear of the non-smooth point
     search_r = make_grid(0.0, 1.0, 11, avoid=RATIO.nonsmooth_set, guard=0.25)
     nodes, tables = _wirtinger_tables([(2, 1), (0, 3), (1, 0)])
-    theta, moll, rho, active = find_active_point(RATIO, nodes, tables, search_r)
-    assert moll is None and active.all() and np.min(np.abs(rho)) > 0.01 and abs(theta) >= 0.25
+    theta, rho, active = find_active_point(RATIO, nodes, tables, search_r)
+    assert active.all() and np.min(np.abs(rho)) > 0.01 and abs(theta) >= 0.25
     # a candidate that activates more monomials wins over larger jets: abs2 has (1, 1) everywhere, (2, 0) nowhere
     nodes, tables = _wirtinger_tables([(2, 0), (1, 1), (1, 0)])
-    _, _, _, active = find_active_point(ABS2, nodes, tables, search)
+    _, _, active = find_active_point(ABS2, nodes, tables, search)
     assert active.tolist() == [False, True, True]
 
 
-def test_mollified_search_rho_is_the_lattice_mollification_bit_for_bit(monkeypatch):
-    # the search grid plus the dilation lattice puts some samples on the synthesis mollifier's own lattice
-    # (spacing 2 eps / q = 1/120), where they take the lattice sum; every other sample is the node-by-node quadrature
-    zlog = by_name("zlog")
-    nodes, tables = _wirtinger_tables([(m, ell) for m in range(5) for ell in range(5) if 1 <= m + ell <= 4])
-    search = _search_grid(zlog)
-    calls = []
+@pytest.mark.parametrize(
+    "sigma, search",
+    [(by_name("sin"), np.zeros(0)), (RATIO, [0.0])],
+    ids=["empty-grid", "only-point-on-the-cut"],
+)
+def test_no_candidate_leaves_every_monomial_inactive(sigma, search):
+    # an empty search grid, or one whose only point lies on ratio's non-smooth point, has no candidate theta
+    net, failures = extract_monomial(sigma, {(1, 0): 1.0, (0, 0): 0.5}, search)
+    assert failures == ["(1,0): inactive expansion point"]
+    assert net.width == 0 and eval_shallow(net, sigma, 0.3 + 0.1j) == 0.5
+    with pytest.raises(NoActivePointError, match=r"\(1,0\): inactive expansion point"):
+        constructor._extract_exactly(sigma, {(1, 0): 1.0}, search)
 
-    def recording(f, cand, *rest):
-        calls.append((f, cand, constructor_best(f, cand, *rest)))
-        return calls[-1][2]
 
-    constructor_best = constructor._best_candidate
-    monkeypatch.setattr(constructor, "_best_candidate", recording)
-    find_active_point(zlog, nodes, tables, search)
-    ((smoothed, cand, (_, theta, rho, _)),) = [call for call in calls if call[0] != zlog.raw]
-    spec = constructor._SYNTH_MOLLIFIER
-    assert isinstance(smoothed, wirtinger.LatticeMollification) and smoothed.spec is spec
-    z = cand[:, None] + nodes[None, :]
-    lattice = z / spec.spacing
-    on = (np.abs(lattice.real - np.rint(lattice.real)) < 1e-9) & (np.abs(lattice.imag - np.rint(lattice.imag)) < 1e-9)
-    assert np.any(on)
-    values = wirtinger.LatticeMollification(zlog, spec)(z)
-    assert np.array_equal(smoothed(z).view(np.uint64), values.view(np.uint64))
-    samples = zlog.raw(z.ravel()[:, None] - spec.offsets[None, :])
-    samples = np.where(np.isfinite(samples), samples, 0.0)
-    quadrature = (samples @ spec.weights).reshape(z.shape)
-    assert np.array_equal(values[~on].view(np.uint64), quadrature[~on].view(np.uint64))
-    bound = 1e-13 * (np.abs(samples) @ spec.weights).reshape(z.shape)
-    assert np.all(np.abs(values[on] - quadrature[on]) <= bound[on])
-    want = (values @ tables.T)[list(cand).index(theta)]
-    assert np.array_equal(rho.view(np.uint64), want.view(np.uint64))
+def _forbidden(*args, **kwargs):
+    raise AssertionError("synthesis evaluated a mollified activation")
+
+
+def test_synthesis_never_mollifies(monkeypatch):
+    # every synthesis samples the raw activation, non-smooth ones included
+    monkeypatch.setattr(wirtinger, "_by_nodes", _forbidden)
+    monkeypatch.setattr(wirtinger.LatticeMollification, "__call__", _forbidden)
+    for name in ("zlog", "rho_c", "arcsin_principal"):
+        _, cert = synthesize_shallow(by_name(name), cone, (0.0, 1.0), 4, CFG, target_name="cone", gate=False)
+        assert cert.failures == (), name
+    assert build_relu_c(RATIO, 2.0, 0.1, gate=False).hidden_layers == 2
+    # rho_c is linear off its cut, so the surrogate's higher monomials are inactive: an honest failure
+    # (its deep synthesis composes rho_c with itself instead)
+    with pytest.raises(NoActivePointError, match=r"\(0,2\): inactive expansion point"):
+        build_relu_c(by_name("rho_c"), 2.0, 0.1, gate=False)
 
 
 def test_dilation_stencil_matches_jet_entries():
@@ -445,42 +429,30 @@ def _arrays(terms):
 def test_shallow_arrays_round_as_the_per_neuron_formulas():
     # reference: one (a_j, w_j, b_j) per neuron, a_j = sum c * table[j] / rho in Python complex arithmetic
     poly = {(2, 1): 0.7, (1, 0): -0.3j, (0, 2): 1.1 + 0.2j}
+    search = _search_grid(RATIO)
     monomials = sorted(poly)
+    nodes, tables = _wirtinger_tables(monomials)
+    theta, rho, active = find_active_point(RATIO, nodes, tables, search)
+    terms = []
+    for j, w_node in enumerate(nodes):
+        a_j = 0j
+        for key, r, table, ok in zip(monomials, rho, tables, active):
+            if ok:
+                a_j = a_j + complex(np.complex128(poly[key]) / r) * complex(table[j])
+        if a_j != 0:
+            terms.append((a_j, np.array([w_node]), theta))
 
-    def extraction_reference(search):
-        nodes, tables = _wirtinger_tables(monomials)
-        theta, moll, rho, active = find_active_point(RATIO, nodes, tables, search)
-        node_terms = []
-        for j, w_node in enumerate(nodes):
-            a_j = 0j
-            for key, r, table, ok in zip(monomials, rho, tables, active):
-                if ok:
-                    a_j = a_j + complex(np.complex128(poly[key]) / r) * complex(table[j])
-            if a_j != 0:
-                node_terms.append((a_j, w_node))
-        if moll is None:
-            terms = [(a_j, [w_node], theta) for a_j, w_node in node_terms]
-        else:
-            terms = [
-                (float(weight) * a_j, [w_node], theta - delta)
-                for a_j, w_node in node_terms
-                for delta, weight in zip(moll.spec.offsets, moll.spec.weights)
-            ]
-        return [(complex(a), np.asarray(w, dtype=complex), complex(b)) for a, w, b in terms]
+    net, failures = extract_monomial(RATIO, poly, search)
+    assert net.width == len(terms)
+    _assert_same_network(net, *_arrays(terms), 0.0)
 
-    for search, mollified in ((_search_grid(RATIO), False), ([0.0], True)):
-        net, failures = extract_monomial(RATIO, poly, search)
-        terms = extraction_reference(search)
-        assert net.width == len(terms) and (net.width > 1000) == mollified
-        _assert_same_network(net, *_arrays(terms), 0.0)
+    factor = 0.7 - 1.3j
+    scaled = [(factor * a, w, b) for a, w, b in terms]
+    _assert_same_network(net.scaled(factor), *_arrays(scaled), factor * 0j)
 
-        factor = 0.7 - 1.3j
-        scaled = [(factor * a, w, b) for a, w, b in terms]
-        _assert_same_network(net.scaled(factor), *_arrays(scaled), factor * 0j)
-
-        center, radius = 0.3 - 0.2j, 1.3
-        moved = [(a, w / radius, b - complex(w[0]) * center / radius) for a, w, b in terms]
-        _assert_same_network(_rescale_shallow(net, center, radius), *_arrays(moved), 0.0)
+    center, radius = 0.3 - 0.2j, 1.3
+    moved = [(a, w / radius, b - complex(w[0]) * center / radius) for a, w, b in terms]
+    _assert_same_network(_rescale_shallow(net, center, radius), *_arrays(moved), 0.0)
 
 
 def test_lifted_net_is_ridges_of_the_psi_fit(monkeypatch):
