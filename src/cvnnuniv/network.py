@@ -129,12 +129,10 @@ def _blockwise(z, d, width, evaluate):
     def fill(rows):
         out[rows] = evaluate(batch[rows])
 
-    if len(chunks) > 1 and workers.pooled():
-        # results come back in block order, so the first failing block raises, as in the serial loop
-        list(workers.pool().map(fill, chunks))
+    if len(chunks) == 1:
+        fill(chunks[0])
     else:
-        for rows in chunks:
-            fill(rows)
+        workers.map(fill, chunks)
     return complex(out[0]) if point else out[:n]
 
 

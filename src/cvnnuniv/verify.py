@@ -17,7 +17,7 @@ import re
 
 import numpy as np
 
-from . import __version__
+from . import __version__, workers
 from .activations import avoid_set
 from .classifier import ClassifierConfig, detect_holomorphy
 from .errors import ActivationSingularityError
@@ -174,62 +174,67 @@ def _stencil_footprint_ok(f, pts, reach):
     return ok
 
 
+def _trial(net, sigma, pts, entry, factor):
+    """(residual, skipped points) of one random network on ``pts``."""
+    f = _raw_network_fn(net, sigma)
+    base = f(pts)
+    ok = np.isfinite(base) & (np.abs(base) <= VALUE_CAP)
+    if entry in ((0, 1), (1, 0)):
+        ok &= _stencil_footprint_ok(f, pts, 0.02)
+        use = pts[ok]
+        if use.size == 0:
+            return 0.0, pts.size
+        d_vals, dbar_vals, good = _first_order_residuals(f, use, base[ok])
+        # pointwise Cauchy-Riemann measure: the vanishing derivative is
+        # compared against the local magnitude of the other one, which
+        # stays meaningful arbitrarily close to poles of the composition
+        if entry == (0, 1):
+            vals, denom = dbar_vals, np.abs(d_vals)
+        else:
+            vals, denom = d_vals, np.abs(dbar_vals)
+        skipped = int(np.sum(~ok)) + int(np.sum(~good))
+        if not np.any(good):
+            return 0.0, skipped
+        return float(np.max(np.abs(vals[good]) / np.maximum(denom[good], 1.0))), skipped
+    # polynomial-class networks: stencils are exact on polynomials,
+    # so a wide step only suppresses roundoff
+    step_scale = 0.12 * np.sqrt(entry[0])
+    ok &= _stencil_footprint_ok(f, pts, step_scale * 3.0 * 8)
+    use = pts[ok]
+    if use.size == 0:
+        return 0.0, pts.size
+    with np.errstate(all="ignore"):
+        vals = jet_entries_at(f, use, [entry], step_scale=step_scale)[entry]
+    keep = np.isfinite(vals)
+    skipped = int(np.sum(~ok)) + int(np.sum(~keep))
+    if not np.any(keep):
+        return 0.0, skipped
+    scale = max(1.0, float(np.max(np.abs(base[ok][keep]))))
+    return float(np.max(np.abs(factor * vals[keep])) / scale), skipped
+
+
 def check_network_invariant(sigma, depth, kind, grid, trials=20, seed=0):
     """Max differential residual of ``trials`` random depth-``depth`` networks.
 
     Weights are uniform on the radius-2 disc.  Residuals are relative to
     max(1, sup |network|) per network; points where the composition blows up
-    (activation poles, overflowing towers) are skipped and counted.
+    (activation poles, overflowing towers) are skipped and counted.  All
+    networks are drawn from the ``seed``'s generator first; the trials then
+    run on the package's thread pool (:mod:`cvnnuniv.workers`), so ``sigma``
+    may be called from several threads at once.  The report is a maximum and
+    a sum over the trials, the same at any number of workers; a call made
+    inside a worker runs its trials serially.  Raises ``ValueError`` for an
+    unknown kind or ``trials`` below 1.
     """
     kind, entry, factor = parse_kind(kind)
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     pts = points_of(grid)
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    skipped = 0
-    for _ in range(trials):
-        net = _random_network(rng, 1, depth)
-        f = _raw_network_fn(net, sigma)
-        base = f(pts)
-        ok = np.isfinite(base) & (np.abs(base) <= VALUE_CAP)
-        if entry in ((0, 1), (1, 0)):
-            ok &= _stencil_footprint_ok(f, pts, 0.02)
-            use = pts[ok]
-            if use.size == 0:
-                skipped += pts.size
-                continue
-            d_vals, dbar_vals, good = _first_order_residuals(f, use, base[ok])
-            # pointwise Cauchy-Riemann measure: the vanishing derivative is
-            # compared against the local magnitude of the other one, which
-            # stays meaningful arbitrarily close to poles of the composition
-            if entry == (0, 1):
-                vals, denom = dbar_vals, np.abs(d_vals)
-            else:
-                vals, denom = d_vals, np.abs(dbar_vals)
-            keep = good
-            skipped += int(np.sum(~ok)) + int(np.sum(~keep))
-            if not np.any(keep):
-                continue
-            pointwise = np.abs(vals[keep]) / np.maximum(denom[keep], 1.0)
-            worst = max(worst, float(np.max(pointwise)))
-            continue
-        else:
-            # polynomial-class networks: stencils are exact on polynomials,
-            # so a wide step only suppresses roundoff
-            step_scale = 0.12 * np.sqrt(entry[0])
-            ok &= _stencil_footprint_ok(f, pts, step_scale * 3.0 * 8)
-            use = pts[ok]
-            if use.size == 0:
-                skipped += pts.size
-                continue
-            with np.errstate(all="ignore"):
-                vals = jet_entries_at(f, use, [entry], step_scale=step_scale)[entry]
-            keep = np.isfinite(vals)
-        skipped += int(np.sum(~ok)) + int(np.sum(~keep))
-        if not np.any(keep):
-            continue
-        scale = max(1.0, float(np.max(np.abs(base[ok][keep]))))
-        residual = float(np.max(np.abs(factor * vals[keep])) / scale)
-        worst = max(worst, residual)
+    nets = [_random_network(rng, 1, depth) for _ in range(trials)]
+    results = workers.map(lambda net: _trial(net, sigma, pts, entry, factor), nets)
+    worst = max(residual for residual, _ in results)
+    skipped = sum(count for _, count in results)
     grid_echo = {
         "radius": float(grid.radius) if isinstance(grid, Grid) else None,
         "points_per_axis": int(grid.points_per_axis) if isinstance(grid, Grid) else None,
@@ -246,9 +251,10 @@ def check_network_invariant(sigma, depth, kind, grid, trials=20, seed=0):
 
 
 def _feature_column(sigma, w, b, pts):
+    """sigma(b + w * pts), or None where a singular pre-activation calls for a redraw; any other error propagates."""
     try:
         col = sigma.raw(b + w * pts)
-    except Exception:
+    except (ArithmeticError, ActivationSingularityError):
         return None
     if not np.all(np.isfinite(col)) or np.max(np.abs(col)) > VALUE_CAP:
         return None
@@ -256,21 +262,25 @@ def _feature_column(sigma, w, b, pts):
 
 
 def _draw_features(sigma, width, pts, rng, max_retries=100):
-    """Admissible random inner weights: singular pre-activations are redrawn."""
-    cols = []
+    """Admissible random inner weights: singular pre-activations are redrawn.
+
+    Returns the (n, width) C-order feature matrix, filled column by column,
+    and the (w, b) of each column.
+    """
+    feats = np.empty((pts.size, width), dtype=complex)
     params = []
-    while len(cols) < width:
+    while len(params) < width:
         for _ in range(max_retries):
             w = complex(_disc_uniform(rng, ()))
             b = complex(_disc_uniform(rng, ()))
             col = _feature_column(sigma, w, b, pts)
             if col is not None:
-                cols.append(col)
+                feats[:, len(params)] = col
                 params.append((w, b))
                 break
         else:
             raise ActivationSingularityError(f"{sigma.name}: could not draw an admissible feature")
-    return np.stack(cols, axis=1), params
+    return feats, params
 
 
 def error_floor_experiment(sigma, target, widths, domain, seed=0, keep_best=False):
@@ -305,6 +315,8 @@ def error_floor_experiment(sigma, target, widths, domain, seed=0, keep_best=Fals
         rows.append((width, sup, l1))
         if best is None or l1 < best[0]:
             best = (l1, coef, params)
+        # this width's arrays go before the next width's are drawn, so two widths never hold memory at once
+        del feats_all, design, test_design, err
     table = FloorTable(
         rows=tuple(rows),
         activation_name=sigma.name,

@@ -1,4 +1,4 @@
-"""The package's one thread pool: network row blocks and lattice mollification sums run on it.
+"""The package's one thread pool: network row blocks, lattice mollification sums and invariant trials run on it.
 
 Work goes to the pool only from a thread outside it; a call made inside a
 worker runs serially, so that no worker waits on the pool it belongs to.
@@ -56,6 +56,17 @@ def submit(fn, *args):
     if pooled():
         return pool().submit(fn, *args)
     return _Done(fn(*args))
+
+
+def map(fn, items):
+    """``[fn(item) for item in items]``, on the pool when :func:`pooled`, else serially.
+
+    Results come back in the order of ``items``, so the first failing item
+    raises, as in the serial loop.
+    """
+    if pooled():
+        return list(pool().map(fn, items))
+    return [fn(item) for item in items]
 
 
 def _forget_pool():

@@ -1,7 +1,13 @@
+import os
+import sys
+import time
+
 import numpy as np
 import pytest
 
-from cvnnuniv.activations import by_name
+from cvnnuniv import verify, workers
+from cvnnuniv.activations import ActivationSpec, by_name
+from cvnnuniv.errors import ActivationSingularityError
 from cvnnuniv.grids import make_grid, random_points
 from cvnnuniv.network import ShallowNetwork
 from cvnnuniv.targets import cone
@@ -151,3 +157,111 @@ def test_parse_kind_takes_short_and_canonical_names():
             parse_kind(kind)
     # the report echoes the canonical name
     assert check_network_invariant(by_name("sin"), 1, "dbar", GRID, trials=1).invariant_kind == "dbar_vanishes"
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_fewer_than_one_trial_is_refused(trials):
+    # zero networks would read as a vacuous pass for abs2, which is not holomorphic
+    with pytest.raises(ValueError, match="at least one trial"):
+        check_network_invariant(by_name("abs2"), 1, "dbar", GRID, trials=trials)
+
+
+def _sin_unless_far(far):
+    """sin, with ``far(z)`` for the result when some argument lies beyond |z| = 3."""
+
+    def fn(z):
+        if np.max(np.abs(z)) > 3.0:
+            return far(z)
+        return np.sin(z)
+
+    return fn
+
+
+def _raise(exc):
+    def far(z):
+        raise exc
+
+    return far
+
+
+def test_singular_features_are_redrawn_and_other_errors_propagate():
+    def floor(far):
+        sigma = ActivationSpec("sin_near", fn=_sin_unless_far(far))
+        return error_floor_experiment(sigma, cone, (10, 20), (0.0, 1.0), seed=0)
+
+    # an arithmetic error or a singularity is redrawn exactly as a non-finite column is
+    want = floor(lambda z: np.full(z.shape, np.inf + 0j))
+    assert floor(_raise(ZeroDivisionError("pole"))) == want
+    assert floor(_raise(ActivationSingularityError("pole"))) == want
+    # a bug in sigma is no reason to redraw
+    with pytest.raises(TypeError, match="bug"):
+        floor(_raise(TypeError("bug")))
+
+
+INVARIANT_CASES = [("sin", 3, "dbar", 0), ("abs2", 2, "laplacian:5", 0), ("tanh", 3, "dbar", 0)]
+
+
+@pytest.mark.parametrize("name, depth, kind, seed", INVARIANT_CASES, ids=["sin-dbar-L3", "abs2-laplacian5-L2", "tanh-dbar-L3"])
+def test_pooled_trials_give_the_serial_report(name, depth, kind, seed, use_workers):
+    use_workers(1)
+    serial = check_network_invariant(by_name(name), depth, kind, GRID, trials=8, seed=seed)
+    assert workers._pool is None
+    if name == "tanh":
+        # poles of the composition: the skipped points are summed over the trials too
+        assert serial.skipped_points > 0
+    switch = sys.getswitchinterval()
+    for count in (2, (os.cpu_count() or 1) + 2):
+        use_workers(count)
+        sys.setswitchinterval(1e-5)
+        try:
+            assert check_network_invariant(by_name(name), depth, kind, GRID, trials=8, seed=seed) == serial
+            assert workers._pool is not None
+        finally:
+            sys.setswitchinterval(switch)
+
+
+@pytest.mark.parametrize("count", [1, 2, 4])
+def test_the_earliest_failing_trial_raises(count, use_workers, monkeypatch):
+    # the same networks check_network_invariant draws at seed 4; trials 2 and 6 fail
+    rng = np.random.default_rng(4)
+    nets = [verify._random_network(rng, 1, 2) for _ in range(8)]
+    failing = {nets[k].layers[0][1].tobytes(): k for k in (2, 6)}
+    raw_network_fn = verify._raw_network_fn
+
+    def fail_some(net, sigma):
+        k = failing.get(net.layers[0][1].tobytes())
+        if k is None:
+            return raw_network_fn(net, sigma)
+
+        def fail(z):
+            if k == 2:
+                # the later trial fails first in time
+                time.sleep(0.2)
+            raise RuntimeError(f"trial {k} failed")
+
+        return fail
+
+    monkeypatch.setattr(verify, "_raw_network_fn", fail_some)
+    use_workers(count)
+    with pytest.raises(RuntimeError, match="trial 2 failed"):
+        check_network_invariant(by_name("sin"), 2, "dbar", GRID, trials=8, seed=4)
+
+
+_INVARIANTS_IN_WORKERS = """
+from cvnnuniv import workers
+from cvnnuniv.activations import by_name
+from cvnnuniv.grids import make_grid
+from cvnnuniv.verify import check_network_invariant
+
+grid = make_grid(0.0, 1.5, 9)
+workers._WORKERS = 2
+# one check on each worker: had they handed their trials to the pool, both would wait on it
+futures = [workers.pool().submit(check_network_invariant, by_name("sin"), 2, "dbar", grid, 6, seed) for seed in (0, 1)]
+reports = [f.result() for f in futures]
+assert [r.seed for r in reports] == [0, 1] and all(r.networks_tested == 6 for r in reports)
+assert reports[0] == check_network_invariant(by_name("sin"), 2, "dbar", grid, 6, 0)
+"""
+
+
+def test_an_invariant_check_inside_a_worker_does_not_wait_on_the_pool(run_python):
+    assert run_python(_INVARIANTS_IN_WORKERS, timeout=120), "the check did not finish: a worker waits on its own pool"
