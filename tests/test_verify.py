@@ -198,13 +198,14 @@ def test_singular_features_are_redrawn_and_other_errors_propagate():
         floor(_raise(TypeError("bug")))
 
 
-INVARIANT_CASES = [("sin", 3, "dbar", 0), ("abs2", 2, "laplacian:5", 0), ("tanh", 3, "dbar", 0)]
-
-
-@pytest.mark.parametrize("name, depth, kind, seed", INVARIANT_CASES, ids=["sin-dbar-L3", "abs2-laplacian5-L2", "tanh-dbar-L3"])
-def test_pooled_trials_give_the_serial_report(name, depth, kind, seed, use_workers):
+@pytest.mark.parametrize(
+    "name, depth, kind",
+    [("sin", 3, "dbar"), ("abs2", 2, "laplacian:5"), ("tanh", 3, "dbar")],
+    ids=["sin-dbar-L3", "abs2-laplacian5-L2", "tanh-dbar-L3"],
+)
+def test_pooled_trials_give_the_serial_report(name, depth, kind, use_workers):
     use_workers(1)
-    serial = check_network_invariant(by_name(name), depth, kind, GRID, trials=8, seed=seed)
+    serial = check_network_invariant(by_name(name), depth, kind, GRID, trials=8, seed=0)
     assert workers._pool is None
     if name == "tanh":
         # poles of the composition: the skipped points are summed over the trials too
@@ -214,7 +215,7 @@ def test_pooled_trials_give_the_serial_report(name, depth, kind, seed, use_worke
         use_workers(count)
         sys.setswitchinterval(1e-5)
         try:
-            assert check_network_invariant(by_name(name), depth, kind, GRID, trials=8, seed=seed) == serial
+            assert check_network_invariant(by_name(name), depth, kind, GRID, trials=8, seed=0) == serial
             assert workers._pool is not None
         finally:
             sys.setswitchinterval(switch)
