@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .activations import avoid_set
+from .errors import ActivationSingularityError
 from .grids import cut_distance, make_grid, points_of, random_points, subsample
 from .wirtinger import LatticeMollification, jet_entries_at, make_mollifier, stencil_steps
 
@@ -94,6 +95,51 @@ def _jets(f, pts, entries, step_scale):
     return jet_entries_at(f, pts, entries, step=f.snap_steps(stencil_steps(pts, step_scale)))
 
 
+def _tested(sigma, mollifier):
+    """The function the stencils read: sigma when smooth, else ``mollifier``, by default its lattice mollification."""
+    if sigma.smooth:
+        return sigma.raw
+    return mollifier if mollifier is not None else _smoothed(sigma)
+
+
+def _polyharmonic_groups(sigma, max_order):
+    """(orders, step scale) of each stencil sampling of the polyharmonic search; None is the per-order default step."""
+    if sigma.smooth:
+        return [([m], None) for m in range(1, max_order + 1)]
+    return [(range(1, min(2, max_order) + 1), 0.01), (range(3, max_order + 1), 0.035)]
+
+
+def _laplacian_residuals(f, pts, orders, step_scale, scale):
+    """Maximum of |Delta^m f| over ``pts`` relative to ``scale``, for each order of one stencil group."""
+    vals = _jets(f, pts, [(m, m) for m in orders], step_scale)
+    return [float(np.max(np.abs(4.0**m * vals[(m, m)])) / scale) for m in orders]
+
+
+def _polyharmonic_search(f, pts, groups, tol, screen=False):
+    """(found, order_or_None, residuals) of the least order m with r_m < tol, group by group.
+
+    With ``screen``, each group is first sampled at ``pts[0]`` alone, with
+    the group's full stencil, and skipped (its residuals unreported) when
+    that point rules out every one of its orders.  That is exact when ``f``
+    is a :class:`LatticeMollification`: its values and each stencil row do
+    not depend on the batch they are formed in, so a one-point residual is
+    never above the all-point one (a NaN stays a NaN), and ``found`` and
+    ``order`` are the unscreened ones.
+    """
+    scale = _scale_of(f, pts)
+    residuals = []
+    for orders, step_scale in groups:
+        if not orders:
+            continue
+        if screen and not any(r < tol for r in _laplacian_residuals(f, pts[:1], orders, step_scale, scale)):
+            continue
+        for m, r in zip(orders, _laplacian_residuals(f, pts, orders, step_scale, scale)):
+            residuals.append(r)
+            if r < tol:
+                return True, m, residuals
+    return False, None, residuals
+
+
 def detect_polyharmonic(sigma, max_order, grid, tol, mollifier=None):
     """Least m <= max_order with Delta^m sigma ~ 0 on the grid, if any.
 
@@ -106,30 +152,11 @@ def detect_polyharmonic(sigma, max_order, grid, tol, mollifier=None):
     pts = points_of(grid)
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
-    # (orders, step scale): one stencil sampling per group; None is the per-order default step
-    if sigma.smooth:
-        f = sigma.raw
-        groups = [([m], None) for m in range(1, max_order + 1)]
-    else:
-        f = mollifier if mollifier is not None else _smoothed(sigma)
-        groups = [(range(1, min(2, max_order) + 1), 0.01), (range(3, max_order + 1), 0.035)]
-    scale = _scale_of(f, pts)
-    residuals = []
-    for orders, step_scale in groups:
-        if not orders:
-            continue
-        vals = _jets(f, pts, [(m, m) for m in orders], step_scale)
-        for m in orders:
-            r = float(np.max(np.abs(4.0**m * vals[(m, m)])) / scale)
-            residuals.append(r)
-            if r < tol:
-                return True, m, residuals
-    return False, None, residuals
+    return _polyharmonic_search(_tested(sigma, mollifier), pts, _polyharmonic_groups(sigma, max_order), tol)
 
 
 def _directional_residuals(sigma, pts, mollifier=None):
-    f = sigma.raw if sigma.smooth else (mollifier or _smoothed(sigma))
-    vals = _jets(f, pts, [(1, 0), (0, 1)], 0.01)
+    vals = _jets(_tested(sigma, mollifier), pts, [(1, 0), (0, 1)], 0.01)
     d_res = float(np.max(np.abs(vals[(1, 0)])))
     dbar_res = float(np.max(np.abs(vals[(0, 1)])))
     return d_res, dbar_res
@@ -168,12 +195,35 @@ def monomial_design(u, degree):
     return np.stack([u**m * np.conj(u) ** ell for m, ell in powers], axis=1), powers
 
 
-def _poly_fit_residual(fvals, pts, degree, radius):
-    u = pts / radius
-    design, _ = monomial_design(u, degree)
-    coef, *_ = np.linalg.lstsq(design, fvals, rcond=None)
-    resid = fvals - design @ coef
-    return float(np.max(np.abs(resid)))
+def _fit_residuals(f, pts, max_degree):
+    """(residuals, scale): relative sup residual of the least-squares fit to f on ``pts``, per degree 0..max_degree."""
+    fvals = f(pts)
+    scale = max(1.0, float(np.max(np.abs(fvals))))
+    u = pts / max(1.0, float(np.max(np.abs(pts))))
+    residuals = []
+    for g in range(max_degree + 1):
+        design, _ = monomial_design(u, g)
+        coef, *_ = np.linalg.lstsq(design, fvals, rcond=None)
+        residuals.append(float(np.max(np.abs(fvals - design @ coef))) / scale)
+    return residuals, scale
+
+
+def _derivative_residuals(f, pts, max_degree, scale):
+    """max(|d^(g+1) f|, |dbar^(g+1) f|) over ``pts`` relative to ``scale``, for each degree g = 0..max_degree."""
+    entries = [(k, 0) for k in range(1, max_degree + 2)] + [(0, k) for k in range(1, max_degree + 2)]
+    jets = _jets(f, pts, entries, 0.02)
+    return [
+        max(float(np.max(np.abs(jets[(g + 1, 0)]))), float(np.max(np.abs(jets[(0, g + 1)])))) / scale
+        for g in range(max_degree + 1)
+    ]
+
+
+def _least_degree(fit_residuals, deriv_residuals, tol):
+    """Least degree whose fit and derivative residuals are both below ``tol``, or None."""
+    for g, (fit_r, deriv_r) in enumerate(zip(fit_residuals, deriv_residuals)):
+        if fit_r < tol and deriv_r < tol:
+            return g
+    return None
 
 
 def detect_polynomial(sigma, max_degree, grid, tol, mollifier=None, deriv_points=None):
@@ -186,26 +236,12 @@ def detect_polynomial(sigma, max_degree, grid, tol, mollifier=None, deriv_points
     and one derivative residual per degree 0..max_degree.
     """
     pts = points_of(grid)
-    f = sigma.raw if sigma.smooth else (mollifier or _smoothed(sigma))
-    fvals = f(pts)
-    scale = max(1.0, float(np.max(np.abs(fvals))))
-    radius = max(1.0, float(np.max(np.abs(pts))))
+    f = _tested(sigma, mollifier)
+    fit_residuals, scale = _fit_residuals(f, pts, max_degree)
     dpts = subsample(pts, 60) if deriv_points is None else points_of(deriv_points)
-    entries = [(k, 0) for k in range(1, max_degree + 2)] + [(0, k) for k in range(1, max_degree + 2)]
-    jets = _jets(f, dpts, entries, 0.02)
-    fit_residuals = []
-    deriv_residuals = []
-    found_degree = None
-    for g in range(max_degree + 1):
-        fit_r = _poly_fit_residual(fvals, pts, g, radius) / scale
-        dz = float(np.max(np.abs(jets[(g + 1, 0)])))
-        dzb = float(np.max(np.abs(jets[(0, g + 1)])))
-        deriv_r = max(dz, dzb) / scale
-        fit_residuals.append(fit_r)
-        deriv_residuals.append(deriv_r)
-        if found_degree is None and fit_r < tol and deriv_r < tol:
-            found_degree = g
-    return found_degree is not None, found_degree, fit_residuals, deriv_residuals
+    deriv_residuals = _derivative_residuals(f, dpts, max_degree, scale)
+    degree = _least_degree(fit_residuals, deriv_residuals, tol)
+    return degree is not None, degree, fit_residuals, deriv_residuals
 
 
 def _is_exact_relu_composer(sigma):
@@ -214,7 +250,7 @@ def _is_exact_relu_composer(sigma):
     pts = np.concatenate([pts, np.linspace(-3, 3, 33) + 0j])
     try:
         vals = sigma(sigma(pts))
-    except Exception:
+    except (ArithmeticError, ActivationSingularityError):
         return False
     return bool(np.max(np.abs(vals - np.maximum(0.0, pts.real))) < 1e-14)
 
@@ -275,6 +311,15 @@ def _shallow_stage(sigma, prepared, tol):
     return fields, {"polyharmonic_residuals": [float(r) for r in residuals]}
 
 
+def _deep_verdict(sigma, forbidden):
+    """(deep verdict, ae flag), given whether sigma matched a forbidden class on the grid."""
+    if not forbidden:
+        return YES, False
+    if all(c.kind == "points" for c in sigma.discontinuity_set):
+        return NO, False
+    return (YES if _is_exact_relu_composer(sigma) else INDETERMINATE), True
+
+
 def _deep_stage(sigma, prepared, tol):
     """Deep verdict with the holomorphy flags, the polynomial degree and the ae flag.
 
@@ -292,15 +337,7 @@ def _deep_stage(sigma, prepared, tol):
     poly_found, poly_degree, fit_res, deriv_res = detect_polynomial(
         sigma, MAX_DEGREE, fit_pts, tol, mollifier=mollifier, deriv_points=subsample(probe, 60)
     )
-    isolated_only = all(c.kind == "points" for c in sigma.discontinuity_set)
-    ae_flag = False
-    if not (poly_found or holomorphic or antiholomorphic):
-        deep = YES
-    elif isolated_only:
-        deep = NO
-    else:
-        ae_flag = True
-        deep = YES if _is_exact_relu_composer(sigma) else INDETERMINATE
+    deep, ae_flag = _deep_verdict(sigma, poly_found or holomorphic or antiholomorphic)
     fields = {
         "holomorphic": bool(holomorphic),
         "antiholomorphic": bool(antiholomorphic),
@@ -317,19 +354,48 @@ def _deep_stage(sigma, prepared, tol):
     return fields, evidence
 
 
-def _verdict(sigma, field):
-    """``classify(sigma)``'s verdict ``field``, computed by the one stage that decides it.
+def _shallow_gate(sigma, prepared, tol):
+    """:func:`_shallow_stage`'s verdict alone; a mollified sigma's stencil groups are screened at the first probe."""
+    probe, _, _, mollifier = prepared
+    groups = _polyharmonic_groups(sigma, MAX_ORDER)
+    found, _, _ = _polyharmonic_search(_tested(sigma, mollifier), probe, groups, tol, screen=mollifier is not None)
+    return NO if found else YES
 
-    The stages share no result, and a :class:`LatticeMollification` value
-    does not depend on the batch it is formed in, so the verdict is the one
-    :func:`classify` reports.
+
+def _deep_gate(sigma, prepared, tol):
+    """:func:`_deep_stage`'s verdict alone, from the least evidence that decides whether sigma is forbidden.
+
+    The holomorphy flags compare against the maximum over every point, so
+    they are computed in full, and a set flag decides.  Otherwise a degree
+    needs a fit residual below tol, so the derivative jets run only when
+    some fit residual is.
+    """
+    probe, holo_pts, fit_pts, mollifier = prepared
+    forbidden = any(_holomorphy_flags(*_directional_residuals(sigma, holo_pts, mollifier), tol))
+    if not forbidden:
+        f = _tested(sigma, mollifier)
+        fit_res, scale = _fit_residuals(f, fit_pts, MAX_DEGREE)
+        if any(r < tol for r in fit_res):
+            deriv_res = _derivative_residuals(f, subsample(probe, 60), MAX_DEGREE, scale)
+            forbidden = _least_degree(fit_res, deriv_res, tol) is not None
+    return _deep_verdict(sigma, forbidden)[0]
+
+
+def _verdict(sigma, field):
+    """``classify(sigma)``'s verdict ``field``, decided from the least evidence by its gate.
+
+    Each gate runs only the tests of its own verdict and stops as soon as
+    the verdict is decided (:func:`_shallow_gate`, :func:`_deep_gate`).
+    Every value it reads has the bits :func:`classify` reads -- a
+    :class:`LatticeMollification` value and a stencil row do not depend on
+    the batch they are formed in -- so the verdict is the one
+    :func:`classify` reports; no evidence is formed.
     """
     if not sigma.locally_bounded:
         return INDETERMINATE
-    stage = {"shallow_universal": _shallow_stage, "deep_universal": _deep_stage}[field]
+    gate = {"shallow_universal": _shallow_gate, "deep_universal": _deep_gate}[field]
     config = ClassifierConfig()
-    fields, _ = stage(sigma, _prepared_points(sigma, config), config.tol)
-    return fields[field]
+    return gate(sigma, _prepared_points(sigma, config), config.tol)
 
 
 def classify(sigma, config=None):
@@ -340,7 +406,7 @@ def classify(sigma, config=None):
     holomorphic and antiholomorphic tests, and the ae branch) on one shared
     preparation, so both read the same mollification.  An activation that is
     not locally bounded is indeterminate for both.  A synthesis gate that
-    needs one verdict runs its stage alone (:func:`_verdict`).
+    needs one verdict decides it alone, from less evidence (:func:`_verdict`).
     """
     config = config or ClassifierConfig()
     if not sigma.locally_bounded:

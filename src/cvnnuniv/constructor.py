@@ -255,9 +255,11 @@ def _certificate(net, sigma, target, center, radius, d, config, target_name, ech
 def _require_verdict(sigma, field):
     """Refuse synthesis unless sigma's ``field`` verdict is yes.
 
-    Only the classifier stage that decides ``field`` runs: the deep gate
-    skips the polyharmonic search, the shallow gate the polynomial,
-    holomorphy and ae tests.  The verdict is the one ``classify`` reports.
+    Only the classifier tests of ``field`` run, and they stop once the
+    verdict is decided: the shallow gate screens each polyharmonic stencil
+    group at one probe point, the deep gate skips the polyharmonic search
+    and forms derivative jets only after a passing polynomial fit.  The
+    verdict is the one ``classify`` reports.
     """
     verdict = _verdict(sigma, field)
     if verdict != YES:

@@ -3,14 +3,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvnnuniv import wirtinger
-from cvnnuniv.activations import ActivationSpec, activation_catalog, by_name
+from cvnnuniv.activations import ActivationSpec, activation_catalog, activation_names, by_name
 from cvnnuniv.classifier import (
     ClassifierConfig,
     _deep_stage,
     _prepared_points,
     _shallow_stage,
+    _verdict,
     classify,
     detect_holomorphy,
     detect_polyharmonic,
@@ -313,3 +316,87 @@ def test_each_stage_alone_agrees_with_the_report(sigma, catalog_reports):
     for field, value in {**shallow, **deep}.items():
         assert getattr(report, field) == value, field
     assert {**shallow_evidence, **deep_evidence, "scale_points": report.evidence["scale_points"]} == report.evidence
+
+
+RATIO = by_name("ratio")
+_CUT = ray_cut(0.0, -1.0)
+# beside the capped polynomials: mollified sigma whose first probe leaves an order open (abs_re, abs2_nonsmooth,
+# re_or_one) or rules out every order (ratio_plus_half_abs2, conj_ratio), and the ae branch's indeterminate case
+GATE_CASES = (
+    *CAPPED_POLYNOMIALS,
+    ActivationSpec(name="z3_zbar2", fn=lambda z: z**3 * np.conj(z) ** 2),
+    ActivationSpec(name="z2_zbar5", fn=lambda z: z**2 * np.conj(z) ** 5 / 10),
+    ActivationSpec(
+        name="ratio_plus_half_abs2", fn=lambda z: RATIO.raw(z) + np.abs(z) ** 2 / 2, nonsmooth_set=RATIO.nonsmooth_set
+    ),
+    ActivationSpec(name="conj_ratio", fn=lambda z: np.conj(RATIO.raw(z)), nonsmooth_set=RATIO.nonsmooth_set),
+    ActivationSpec(name="abs_re", fn=lambda z: np.abs(z.real) + 0j, nonsmooth_set=(line_cut(0.0, 1j),)),
+    ActivationSpec(name="abs2_nonsmooth", fn=lambda z: z * np.conj(z), nonsmooth_set=(line_cut(0.0, 1j),)),
+    # fits degree 1 to 3e-8, but its second derivatives do not vanish: the deep gate needs the jets to say yes
+    ActivationSpec(name="wiggled_poly", fn=lambda z: z + np.conj(z) + 1e-5 * np.sin(50 * z.real)),
+    ActivationSpec(
+        name="re_or_one",
+        fn=lambda z: np.where((z.imag == 0) & (z.real < 0), 1.0, z.real),
+        discontinuity_set=(_CUT,),
+        nonsmooth_set=(_CUT,),
+    ),
+)
+
+
+def _gates_agree(sigma, report):
+    for field in ("shallow_universal", "deep_universal"):
+        assert _verdict(sigma, field) == getattr(report, field), (sigma.name, field)
+
+
+@pytest.mark.parametrize("sigma", [*activation_catalog(), *GATE_CASES], ids=lambda s: s.name)
+def test_each_gate_returns_the_reported_verdict(sigma, catalog_reports):
+    # rho_c and example_4_8 leave an order open at the first probe, so their shallow gates sample every group in full
+    _gates_agree(sigma, catalog_reports[sigma.name] if sigma.name in catalog_reports else classify(sigma))
+
+
+def _sum_of(terms):
+    specs = [(by_name(name), c) for name, c in terms]
+    return ActivationSpec(
+        name="+".join(f"{c}*{name}" for name, c in terms),
+        fn=lambda z: sum(c * spec.raw(z) for spec, c in specs),
+        discontinuity_set=tuple(cut for spec, _ in specs for cut in spec.discontinuity_set),
+        locally_bounded=all(spec.locally_bounded for spec, _ in specs),
+        nonsmooth_set=tuple(cut for spec, _ in specs for cut in spec.nonsmooth_set),
+        singular_points=tuple(cut for spec, _ in specs for cut in spec.singular_points),
+    )
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(activation_names()), st.sampled_from((1.0, -0.5, 2.0, 1j))),
+        min_size=2,
+        max_size=3,
+        unique_by=lambda term: term[0],
+    )
+)
+def test_gates_agree_with_classify_on_sums_of_catalog_terms(terms):
+    sigma = _sum_of(terms)
+    _gates_agree(sigma, classify(sigma))
+
+
+@pytest.mark.parametrize("error, verdict", [(TypeError, None), (ZeroDivisionError, "indeterminate")])
+def test_only_an_arithmetic_or_singularity_error_is_no_relu_witness(error, verdict):
+    # a copy of example_4_8 that fails beyond |z| = 2.95, where only sigma(sigma(z)) of the ae branch samples it:
+    # an arithmetic error means no witness, any other error is a bug in sigma and propagates
+    e48 = by_name("example_4_8")
+
+    def failing(z):
+        if np.max(np.abs(z), initial=0.0) > 2.95:
+            raise error("beyond 2.95")
+        return e48.raw(z)
+
+    sigma = _copy(e48, fn=failing, name="failing_e48")
+    if verdict is None:
+        with pytest.raises(error):
+            classify(sigma)
+        with pytest.raises(error):
+            _verdict(sigma, "deep_universal")
+    else:
+        assert classify(sigma).deep_universal == verdict
+        assert _verdict(sigma, "deep_universal") == verdict

@@ -275,22 +275,51 @@ def test_shallow_gate_skips_the_deep_tests(monkeypatch):
     constructor._require_verdict(RATIO, "shallow_universal")
 
 
-def test_deep_gate_cost_on_ratio(monkeypatch):
-    # a full classify of ratio evaluates sigma at 3,543,040 points and forms 38,290 lattice values
+def _cost(monkeypatch, sigma, run):
+    """(sigma points, lattice values formed) of ``run`` on a counting copy of ``sigma``."""
     points, sums = [], []
     cell_values = wirtinger.LatticeMollification._cell_values
 
     def counting(z):
         points.append(np.size(z))
-        return RATIO.raw(z)
+        return sigma.raw(z)
 
     def counted_cell_values(self, u, v):
         sums.append(u.size)
         return cell_values(self, u, v)
 
     monkeypatch.setattr(wirtinger.LatticeMollification, "_cell_values", counted_cell_values)
-    constructor._require_verdict(dataclasses.replace(RATIO, fn=counting), "deep_universal")
-    assert (sum(points), sum(sums)) == (2383872, 16453)
+    run(dataclasses.replace(sigma, fn=counting))
+    monkeypatch.undo()
+    return sum(points), sum(sums)
+
+
+def test_deep_gate_cost_on_ratio(monkeypatch):
+    # a full classify of ratio evaluates sigma at 3,543,040 points and forms 38,290 lattice values; no fit residual
+    # of ratio is below tol, so the gate forms no derivative jet
+    cost = _cost(monkeypatch, RATIO, lambda sigma: constructor._require_verdict(sigma, "deep_universal"))
+    assert cost == (1789952, 9997)
+
+
+def test_shallow_gate_cost_on_ratio(monkeypatch):
+    # the first probe rules out every order, so only the scale and the first probe's two stencils are formed
+    cost = _cost(monkeypatch, RATIO, lambda sigma: constructor._require_verdict(sigma, "shallow_universal"))
+    assert cost == (446464, 402)
+
+
+def test_rho_c_shallow_gate_costs_the_full_shallow_stage(monkeypatch):
+    # rho_c is linear off its cut, so the first probe leaves every order open and both groups are sampled in full;
+    # the first probe's values are held, so the gate forms exactly the values of the full shallow stage (its sigma
+    # calls only pad more pieces to the fixed piece length)
+    rho_c = by_name("rho_c")
+    config = classifier.ClassifierConfig()
+    gate = _cost(monkeypatch, rho_c, lambda sigma: constructor._require_verdict(sigma, "shallow_universal"))
+    stage = _cost(
+        monkeypatch,
+        rho_c,
+        lambda sigma: classifier._shallow_stage(sigma, classifier._prepared_points(sigma, config), config.tol),
+    )
+    assert gate[1] == stage[1] == 37548
 
 
 def test_build_relu_c_budget():
