@@ -17,6 +17,7 @@ import collections
 import dataclasses
 import functools
 import math
+import mmap
 
 import numpy as np
 
@@ -262,12 +263,14 @@ def make_mollifier(epsilon, quadrature_points_per_axis=64):
 
 
 _CHUNK = 4_000_000
-# samples of sigma and mollified values one LatticeMollification may hold, in complex entries
-_HELD = _CHUNK
-# held samples live in _TILE x _TILE tiles; points are processed in _GROUP x _GROUP cells
-_TILE = 64
+# side of a lattice's persistent sample canvas, centred on the lattice origin: every sample (u, v) that
+# classifying the catalog at the default radius reads lies in [-1060, 1060)^2 (rho_c reaches all four ends)
+_CANVAS = 2120
+# entries one LatticeMollification may hold: its canvas (2120^2 = 4,494,400 samples) and 305,600 values
+_HELD = 4_800_000
+# points are processed in _GROUP x _GROUP cells of window corners
 _GROUP = 512
-# sigma is evaluated for whole _BLOCK x _BLOCK blocks of samples
+# sigma is evaluated for whole _BLOCK x _BLOCK blocks of samples, and a canvas marks which blocks it holds
 _BLOCK = 4
 # sigma sees canonical arguments only in pieces of exactly _PIECE entries: NumPy may round a complex
 # product differently in long arrays than in short ones (NumPy 2.4 on AVX-512: z * conj(z) flips the
@@ -299,8 +302,12 @@ def _finite(samples):
     return samples
 
 
-def _tile_slice(i, j, size):
-    return np.s_[i * size : (i + 1) * size, j * size : (j + 1) * size]
+class _Canvas:
+    """Samples of sigma over a block-aligned rectangle of samples from ``(u0, v0)``, and which blocks hold them."""
+
+    def __init__(self, u0, v0, samples):
+        self.u0, self.v0, self.samples = u0, v0, samples
+        self.have = np.zeros((samples.shape[0] // _BLOCK, samples.shape[1] // _BLOCK), dtype=bool)
 
 
 def _by_nodes(sigma, spec, flat):
@@ -334,7 +341,7 @@ def mollify(sigma, spec):
     Returns the vectorized function ``z -> (eta_eps * sigma)(z)`` evaluated
     by the spec's quadrature, a :class:`LatticeMollification`.  Non-finite
     samples of ``sigma`` (declared singularities form a null set) are
-    skipped.
+    skipped; the value at a non-finite point is NaN.
     """
     return LatticeMollification(sigma, spec)
 
@@ -353,24 +360,27 @@ class LatticeMollification:
     argument that the points need, and each value is formed once per lattice
     point: a point asked for twice in one call, or again in a later call, is
     read back from the held values (sorted keys and values per cell of
-    points).  Samples (in tiles) and values are held together until
-    ``_HELD`` entries are held; none is dropped and none is added once the
-    budget is full, so a sweep over more than that keeps reusing the first
-    ones and forms the rest anew.  Every sample is a pure function of (u, v)
-    and every value one fixed-length sum, so a value has the same bits
-    alone, in any batch, and whether or not it or its samples were held
-    before.  Every other point takes the node-by-node quadrature
-    (:func:`_by_nodes`).
+    points).  Samples are held in one canvas, a dense array over the
+    ``_CANVAS``-wide square of samples around the lattice origin with a
+    bitmap of the ``_BLOCK`` x ``_BLOCK`` blocks it holds; a cell of points
+    whose windows reach past it samples into a transient canvas of its own.
+    The canvas area and the held values stay within ``_HELD`` entries: no
+    value is dropped, and none is added once the budget is full.  Every
+    sample is a pure function of (u, v) and every value one fixed-length sum,
+    so a value has the same bits alone, in any batch, and whether or not it
+    or its samples were held before.  A non-finite point is NaN; every other
+    point takes the node-by-node quadrature (:func:`_by_nodes`).
 
     Order rule: the calling thread takes the cells of points in order,
-    assembles each cell's box, samples sigma and holds tiles and values
+    samples each cell's missing blocks into its canvas and holds values
     against the budget exactly as a serial pass would; only the weighted sums
     run on the package's worker pool (:mod:`cvnnuniv.workers`), which calls
-    no activation.  At most ``_WORKERS + 1`` cells are in flight (their sums
-    on the pool and the cell being sampled), which bounds the boxes alive at
-    once.  So sigma sees the same arguments in the same order, the same
-    samples and values are held, and every value has the same bits, for any
-    number of workers.
+    no activation.  A block is written before any sum that reads it is
+    submitted and marked held only once its cell's sampling returns, so sums
+    read the canvas while it grows.  At most ``_WORKERS + 1`` cells are in
+    flight, which bounds the transient canvases alive at once.  So sigma sees
+    the same arguments in the same order, the same samples and values are
+    held, and every value has the same bits, for any number of workers.
 
     Step rule: stencils on lattice points stay on the lattice when each step
     is a whole number of spacings, which :meth:`snap_steps` rounds to.  On
@@ -398,7 +408,10 @@ class LatticeMollification:
         self.rows = np.unique(k)
         self.row_lo = np.array([l[k == r].min() for r in self.rows])
         self.row_hi = np.array([l[k == r].max() for r in self.rows])
-        self.tiles = {}
+        side = min(_CANVAS, math.isqrt(_HELD) // (2 * _BLOCK) * 2 * _BLOCK)
+        # an anonymous map: untouched pages cost no memory, and NumPy gives it no huge-page advice
+        samples = np.frombuffer(mmap.mmap(-1, 16 * side**2), dtype=complex).reshape(side, side)
+        self.canvas = _Canvas(-side // 2, -side // 2, samples)
         # held values per cell: sorted corner keys and their values
         self.values = {}
         self.held_values = 0
@@ -409,12 +422,12 @@ class LatticeMollification:
         on_re, a = _lattice_index(flat.real, self.spacing)
         on_im, b = _lattice_index(flat.imag, self.spacing)
         on = on_re & on_im & self.usable
-        if not on.any():
-            return _by_nodes(self.sigma, self.spec, flat).reshape(z.shape)
-        out = np.empty(flat.shape, dtype=complex)
-        out[on] = self._values(a[on] + self.lead, b[on] + self.lead)
-        if not on.all():
-            out[~on] = _by_nodes(self.sigma, self.spec, flat[~on])
+        off = ~on & np.isfinite(flat)
+        out = np.full(flat.shape, complex(np.nan, np.nan))
+        if on.any():
+            out[on] = self._values(a[on] + self.lead, b[on] + self.lead)
+        if off.any():
+            out[off] = _by_nodes(self.sigma, self.spec, flat[off])
         return out.reshape(z.shape)
 
     def snap_steps(self, steps):
@@ -475,44 +488,44 @@ class LatticeMollification:
         return out
 
     def _cell_values(self, u, v):
-        """Values at the window corners ``(u, v)`` of one cell, read from one box of samples, as a future.
+        """Values at the window corners ``(u, v)`` of one cell, read from a canvas of samples, as a future.
 
-        The box is assembled and sampled, and its tiles are held, on the
-        calling thread; the weighted sums go to the worker pool, and the
-        returned object's ``result()`` is their array.
+        The cell's missing blocks are sampled into the lattice's canvas, or into
+        a transient one when the cell reaches past it, on the calling thread;
+        the weighted sums go to the worker pool, and the returned object's
+        ``result()`` is their array.
         """
-        T, B = _TILE, _BLOCK
-        tu = (int(u.min() - self.k.max()) // T, int(u.max() - self.k.min()) // T)
-        tv = (int(v.min() - self.l.max()) // T, int(v.max() - self.l.min()) // T)
-        u0, v0 = tu[0] * T, tv[0] * T
-        height, width = (tu[1] - tu[0] + 1) * T, (tv[1] - tv[0] + 1) * T
-        tiles = ((i, j) for i in range(tu[0], tu[1] + 1) for j in range(tv[0], tv[1] + 1))
-        held = [(i - tu[0], j - tv[0], self.tiles[(i, j)]) for i, j in tiles if (i, j) in self.tiles]
-        box = np.zeros((height, width), dtype=complex)
-        have = np.zeros((height // B, width // B), dtype=bool)
-        for i, j, (tile_values, tile_have) in held:
-            box[_tile_slice(i, j, T)] = tile_values
-            have[_tile_slice(i, j, T // B)] = tile_have
+        B = _BLOCK
+        # the cell's range of blocks, from (bu, bv), in sample indices / B
+        bu, bv = int(u.min() - self.k.max()) // B, int(v.min() - self.l.max()) // B
+        height, width = int(u.max() - self.k.min()) // B + 1 - bu, int(v.max() - self.l.min()) // B + 1 - bv
+        canvas = self.canvas
+        i0, j0 = bu - canvas.u0 // B, bv - canvas.v0 // B
+        if min(i0, j0) < 0 or i0 + height > canvas.have.shape[0] or j0 + width > canvas.have.shape[1]:
+            # a cell's own canvas: heap memory that earlier cells mapped in, unzeroed, as only sampled blocks are read
+            canvas, i0, j0 = _Canvas(bu * B, bv * B, np.empty((height * B, width * B), dtype=complex)), 0, 0
         # the blocks the windows need: each node row is one interval of blocks, marked by a running sum
-        rows = ((u - u0)[:, None] - self.rows) // B
-        first = ((v - v0)[:, None] - self.row_hi) // B
-        last = ((v - v0)[:, None] - self.row_lo) // B
-        stride = width // B + 1
-        marks = np.bincount((rows * stride + first).ravel(), minlength=(height // B) * stride)
-        marks -= np.bincount((rows * stride + last + 1).ravel(), minlength=(height // B) * stride)
-        missing = (np.cumsum(marks.reshape(height // B, stride), axis=1)[:, :-1] > 0) & ~have
+        rows = (u[:, None] - self.rows) // B - bu
+        first = (v[:, None] - self.row_hi) // B - bv
+        last = (v[:, None] - self.row_lo) // B - bv
+        stride = width + 1
+        marks = np.bincount((rows * stride + first).ravel(), minlength=height * stride)
+        marks -= np.bincount((rows * stride + last + 1).ravel(), minlength=height * stride)
+        have = canvas.have[i0 : i0 + height, j0 : j0 + width]
+        missing = (np.cumsum(marks.reshape(height, stride), axis=1)[:, :-1] > 0) & ~have
         if missing.any():
-            bu, bv = np.nonzero(missing)
-            offs = np.arange(B)
-            args = np.empty((bu.size, B, B), dtype=complex)
-            args.real = ((bu * B + u0)[:, None, None] + offs[:, None] + self.frac) * self.spacing
-            args.imag = ((bv * B + v0)[:, None, None] + offs[None, :] + self.frac) * self.spacing
-            box.reshape(height // B, B, width // B, B)[bu, :, bv, :] = self._sample(args)
+            mu, mv = np.nonzero(missing)
+            args = np.empty((mu.size, B, B), dtype=complex)
+            args.real = (((mu + bu) * B)[:, None, None] + np.arange(B)[:, None] + self.frac) * self.spacing
+            args.imag = (((mv + bv) * B)[:, None, None] + np.arange(B)[None, :] + self.frac) * self.spacing
+            blocks = canvas.samples.reshape(canvas.have.shape[0], B, canvas.have.shape[1], B)
+            blocks[mu + i0, :, mv + j0, :] = self._sample(args)
+            # written before any sum that reads them is submitted, and marked only once sampled
             have |= missing
-            self._hold(box, have, missing, tu[0], tv[0])
-        corners = (u - u0) * width + (v - v0)
-        window = -(self.k * width + self.l)
-        return workers.submit(_weighted_sums, box.ravel(), corners, window, self.weights)
+        span = canvas.samples.shape[1]
+        corners = (u - canvas.u0) * span + (v - canvas.v0)
+        window = -(self.k * span + self.l)
+        return workers.submit(_weighted_sums, canvas.samples.ravel(), corners, window, self.weights)
 
     def _sample(self, args):
         """sigma at canonical ``args``, non-finite values set to 0, evaluated in pieces of exactly _PIECE entries."""
@@ -527,19 +540,6 @@ class LatticeMollification:
 
     def _reserve_values(self, count):
         """How many of a cell's ``count`` new values, first keys first, the budget holds; they count as held at once."""
-        take = max(0, min(count, _HELD - _TILE**2 * len(self.tiles) - self.held_values))
+        take = max(0, min(count, _HELD - self.canvas.samples.size - self.held_values))
         self.held_values += take
         return take
-
-    def _hold(self, box, have, missing, i0, j0):
-        """Keep the box's tiles that gained samples, adding new tiles only while the budget has room."""
-        b = _TILE // _BLOCK
-        gained = missing.reshape(missing.shape[0] // b, b, missing.shape[1] // b, b).any(axis=(1, 3))
-        room = (_HELD - self.held_values) // _TILE**2 - len(self.tiles)
-        for i, j in zip(*np.nonzero(gained)):
-            key = (int(i) + i0, int(j) + j0)
-            if key not in self.tiles:
-                if room <= 0:
-                    continue
-                room -= 1
-            self.tiles[key] = (box[_tile_slice(i, j, _TILE)].copy(), have[_tile_slice(i, j, b)].copy())

@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +223,23 @@ def test_mollify_is_the_lattice_mollification():
     assert np.array_equal(f(z).view(np.uint64), LatticeMollification(sigma, spec)(z).view(np.uint64))
 
 
+def test_mollify_is_nan_at_non_finite_points():
+    f = mollify(by_name("ratio"), make_mollifier(0.05, 12))
+    bad = np.array([np.nan, np.inf, complex(0.0, -np.inf), complex(np.nan, 0.3)])
+    # on the lattice (0.3 + 0.1j) and off it
+    good = np.array([0.3 + 0.1j, 0.123 + 0.456j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = f(np.concatenate([bad, good]))
+    assert np.all(np.isnan(got[: bad.size]))
+    assert np.array_equal(got[bad.size :].view(np.uint64), mollify(by_name("ratio"), make_mollifier(0.05, 12))(good).view(np.uint64))
+
+
+# budgets: a 128 x 128 canvas and no values, so every cell below samples into a canvas of its own, and a
+# 1024 x 1024 canvas over some of the cells with room for 100 values
+_SMALL_BUDGETS = [128**2, 1024**2 + 100]
+
+
 @pytest.mark.parametrize("name", ["ratio", "abs2"])
 def test_lattice_mollification_value_does_not_depend_on_batch_or_held_samples(name, monkeypatch):
     # abs2's z * conj(z) is a complex product, which NumPy may round differently in long arrays
@@ -234,27 +252,38 @@ def test_lattice_mollification_value_does_not_depend_on_batch_or_held_samples(na
     cold = LatticeMollification(sigma, spec)(p)
     f = LatticeMollification(sigma, spec)
     batch = f(z)
-    assert len(f.tiles) > 0
+    assert f.canvas.have.any()
     warm = f(p)
     bits = cold.view(np.uint64)
     assert np.array_equal(batch[60:61].view(np.uint64), bits)
     assert np.array_equal(warm.view(np.uint64), bits)
     assert np.array_equal(f(z[::-1])[::-1].copy().view(np.uint64), batch.view(np.uint64))
-    # a budget of a few tiles holds only the first samples, without moving a bit
-    monkeypatch.setattr(wirtinger, "_HELD", 4 * wirtinger._TILE**2)
-    small = LatticeMollification(sigma, spec)
-    for _ in range(2):
-        assert np.array_equal(small(z).view(np.uint64), batch.view(np.uint64))
-        assert 0 < len(small.tiles) <= 4
+    # a smaller canvas holds only the samples of the cells inside it, without moving a bit
+    for budget in _SMALL_BUDGETS:
+        monkeypatch.setattr(wirtinger, "_HELD", budget)
+        small = LatticeMollification(sigma, spec)
+        for _ in range(2):
+            assert np.array_equal(small(z).view(np.uint64), batch.view(np.uint64))
+            assert small.canvas.samples.size + small.held_values <= budget
 
 
-def test_lattice_mollification_holds_samples_under_the_budget():
+def test_lattice_mollification_holds_samples_under_the_budget(monkeypatch):
     sigma = by_name("ratio")
     spec = make_mollifier(0.05, 40)
-    f = LatticeMollification(sigma, spec)
-    # 80 stencils of 13 x 13 points 20 spacings apart need about 6M samples: more than the budget holds
-    f(_lattice_points(spec, 80, 15, step=20, half=6, reach=4000))
-    assert 0 < len(f.tiles) * wirtinger._TILE**2 + f.held_values <= wirtinger._HELD
+    # 80 stencils of 13 x 13 points 20 spacings apart need about 6M samples, most of them outside the canvas
+    first = _lattice_points(spec, 80, 15, step=20, half=6, reach=4000)
+    both = np.concatenate([first, _lattice_points(spec, 80, 16, step=20, half=6, reach=4000)])
+    for budget in [wirtinger._HELD, *_SMALL_BUDGETS]:
+        monkeypatch.setattr(wirtinger, "_HELD", budget)
+        f = LatticeMollification(sigma, spec)
+        side = f.canvas.samples.shape[0]
+        assert f.canvas.samples.shape == (side, side) and f.canvas.u0 == f.canvas.v0 == -side // 2
+        room = budget - side**2
+        assert 0 <= room < budget
+        # values are held while the budget has room, and none is dropped for later ones
+        for z in (first, both):
+            f(z)
+            assert f.held_values == min(np.unique(z).size, room) == sum(keys.size for keys, _ in f.values.values())
 
 
 def _formed(f, monkeypatch):
@@ -292,14 +321,14 @@ def test_held_value_has_the_same_bits_fresh_held_duplicated_and_past_the_budget(
     assert np.array_equal(twice.reshape(3, -1)[[0, 2]].view(np.uint64), np.stack([fresh, fresh]))
     assert np.array_equal(twice.reshape(3, -1)[1, ::-1].copy().view(np.uint64), fresh)
     assert g.held_values == pick.size
-    # a budget that holds a few tiles and part of the values: no value is dropped, none added once full
-    monkeypatch.setattr(wirtinger, "_HELD", 4 * wirtinger._TILE**2 + 100)
+    # a budget that holds a small canvas and part of the values: no value is dropped, none added once full
+    monkeypatch.setattr(wirtinger, "_HELD", 128**2 + 100)
     small = LatticeMollification(sigma, spec)
     held = []
     for _ in range(2):
         assert np.array_equal(small(z)[pick].view(np.uint64), fresh)
-        held.append((len(small.tiles), small.held_values))
-        assert held[-1][0] * wirtinger._TILE**2 + held[-1][1] <= wirtinger._HELD
+        held.append(_held_state(small))
+        assert small.canvas.samples.size + small.held_values == wirtinger._HELD
     assert held[0] == held[1] and 0 < small.held_values < distinct
 
 
@@ -335,10 +364,16 @@ def _counting(name):
 
 
 def _held_state(f):
-    """Everything a lattice holds: the tile keys and bits, and the value keys and bits, per cell."""
-    tiles = {key: (v.view(np.uint64).tobytes(), h.tobytes()) for key, (v, h) in f.tiles.items()}
+    """Everything a lattice holds: its canvas's block bitmap and the bits of the blocks it marks, and the value keys and bits per cell."""
+    blocks = f.canvas.samples[_held_blocks(f)]
     values = {key: (k.tobytes(), v.view(np.uint64).tobytes()) for key, (k, v) in f.values.items()}
-    return tiles, values, f.held_values
+    return f.canvas.have.tobytes(), blocks.view(np.uint64).tobytes(), values, f.held_values
+
+
+def _held_blocks(f):
+    """Boolean mask over the canvas's samples of the blocks it marks held."""
+    B = wirtinger._BLOCK
+    return np.repeat(np.repeat(f.canvas.have, B, axis=0), B, axis=1)
 
 
 def _unread_at_sampling(f, monkeypatch):
@@ -364,14 +399,12 @@ def _unread_at_sampling(f, monkeypatch):
     return most
 
 
-@pytest.mark.parametrize(
-    "budget", [None, 4 * wirtinger._TILE**2, 36 * wirtinger._TILE**2 + 100], ids=["default", "4-tiles", "tiles-and-values"]
-)
+@pytest.mark.parametrize("budget", [None, *_SMALL_BUDGETS], ids=["default", "small-canvas", "canvas-and-values"])
 def test_pooled_sums_match_the_serial_pass(budget, monkeypatch, use_workers):
-    # stencils in 16 cells, twice over: sigma sees the same points, and the same samples and values are held;
-    # under the last budget the values a cell holds leave the next cells room for one tile fewer
+    # stencils in about 20 cells, twice over, some inside the canvas and some past it: sigma sees the same
+    # points, and the same samples and values are held
     spec = make_mollifier(0.05, 40)
-    z = _lattice_points(spec, 12, 19, step=20, half=3, reach=4000)
+    z = np.concatenate([_lattice_points(spec, 12, 19, step=20, half=3, reach=4000), _lattice_points(spec, 6, 22, step=20, half=3)])
     if budget is not None:
         monkeypatch.setattr(wirtinger, "_HELD", budget)
 
@@ -384,7 +417,7 @@ def test_pooled_sums_match_the_serial_pass(budget, monkeypatch, use_workers):
         assert (workers._pool is not None) == (count > 1)
         # while a cell is sampled, the sums of the _WORKERS cells before it may be pending, and none when serial
         assert unread[0] == (count if count > 1 else 0)
-        return got, sum(counts), len(f.tiles), _held_state(f)
+        return got, sum(counts), _held_state(f)
 
     serial = run(1)
     assert serial[1] > 0
@@ -392,9 +425,9 @@ def test_pooled_sums_match_the_serial_pass(budget, monkeypatch, use_workers):
     sys.setswitchinterval(1e-5)
     try:
         for count in (2, (os.cpu_count() or 1) + 2):
-            got, points, tiles, held = run(count)
+            got, points, held = run(count)
             assert all(np.array_equal(a, b) for a, b in zip(got, serial[0], strict=True))
-            assert (points, tiles, held) == serial[1:]
+            assert (points, held) == serial[1:]
     finally:
         sys.setswitchinterval(switch)
 
@@ -425,26 +458,49 @@ def test_a_lattice_called_inside_a_worker_does_not_wait_on_the_pool(run_python):
 @pytest.mark.parametrize("count", [1, 2])
 def test_a_sample_that_raises_in_a_later_cell_surfaces_and_leaves_the_lattice_usable(count, use_workers):
     spec = make_mollifier(0.05, 40)
-    z = _lattice_points(spec, 12, 21, step=20, half=3, reach=4000)
     ratio = by_name("ratio")
-    failing = [True]
-
-    def fn(args):
-        # the cells are taken in order of their real index, so only the last ones sample this far right
-        if failing[0] and np.any(args.real > 0.8 * z.real.max()):
-            raise RuntimeError("sigma failed")
-        return ratio.raw(args)
-
     use_workers(count)
-    f = LatticeMollification(dataclasses.replace(ratio, fn=fn), spec)
-    with pytest.raises(RuntimeError, match="sigma failed"):
-        f(z)
-    # the cells before the failing one are formed and held, every value counted once
-    assert 0 < f.held_values == sum(keys.size for keys, _ in f.values.values())
-    failing[0] = False
-    want = LatticeMollification(ratio, spec)(z)
-    assert np.array_equal(f(z).view(np.uint64), want.view(np.uint64))
-    assert f.held_values == np.unique(z).size
+    # stencils inside the canvas, then past it
+    for reach in (700, 4000):
+        z = _lattice_points(spec, 12, 21, step=20, half=3, reach=reach)
+        failing = [True]
+
+        def fn(args):
+            # the cells are taken in order of their real index, so only the last ones sample this far right
+            if failing[0] and np.any(args.real > 0.8 * z.real.max()):
+                raise RuntimeError("sigma failed")
+            return ratio.raw(args)
+
+        f = LatticeMollification(dataclasses.replace(ratio, fn=fn), spec)
+        with pytest.raises(RuntimeError, match="sigma failed"):
+            f(z)
+        # the cells before the failing one are formed and held, every value counted once
+        assert 0 < f.held_values == sum(keys.size for keys, _ in f.values.values())
+        # every block marked held holds sigma's samples: the failing cell marked none of its blocks
+        have = f.canvas.have
+        assert have.any() == (reach == 700)
+        want = LatticeMollification(ratio, spec)
+        want(z)
+        assert np.all(want.canvas.have[have])
+        assert _held_state(f)[1] == want.canvas.samples[_held_blocks(f)].view(np.uint64).tobytes()
+        failing[0] = False
+        assert np.array_equal(f(z).view(np.uint64), want(z).view(np.uint64))
+        assert f.held_values == np.unique(z).size
+
+
+def test_points_outside_the_canvas_get_a_fresh_instances_bits():
+    sigma = by_name("ratio")
+    spec = make_mollifier(0.05, 40)
+    z = _lattice_points(spec, 12, 23, step=20, half=3, reach=4000)
+    f = LatticeMollification(sigma, spec)
+    half = f.canvas.samples.shape[0] // 2 * spec.spacing
+    outside = (np.abs(z.real) > half + 1) | (np.abs(z.imag) > half + 1)
+    assert outside.sum() > z.size // 2
+    # the canvas first, then every point alone on a fresh instance, then all at once on a used one
+    f(_lattice_points(spec, 4, 24, step=20, half=3))
+    alone = np.array([LatticeMollification(sigma, spec)(p)[0] for p in z[outside, None]])
+    assert np.array_equal(f(z)[outside].view(np.uint64), alone.view(np.uint64))
+    assert not f.canvas.have.all()
 
 
 # steps the callers use: the classifier's default and snapped steps, verify's per-point first-order steps
