@@ -410,7 +410,7 @@ class LatticeMollification:
         self.row_hi = np.array([l[k == r].max() for r in self.rows])
         side = min(_CANVAS, math.isqrt(_HELD) // (2 * _BLOCK) * 2 * _BLOCK)
         # an anonymous map: untouched pages cost no memory, and NumPy gives it no huge-page advice
-        samples = np.frombuffer(mmap.mmap(-1, 16 * side**2), dtype=complex).reshape(side, side)
+        samples = np.frombuffer(mmap.mmap(-1, np.dtype(complex).itemsize * side**2), dtype=complex).reshape(side, side)
         self.canvas = _Canvas(-side // 2, -side // 2, samples)
         # held values per cell: sorted corner keys and their values
         self.values = {}
