@@ -167,8 +167,12 @@ def _first_order_residuals(f, pts, base):
 
 
 def _stencil_footprint_ok(f, pts, reach):
+    """Where f is finite and within VALUE_CAP at the four corners ``reach * (+-1 +- i)`` off each point.
+
+    The point itself is not evaluated: every caller masks ``f(pts)`` the same way first.
+    """
     ok = np.ones(pts.size, dtype=bool)
-    for off in (0.0, reach * (1 + 1j), reach * (1 - 1j), reach * (-1 + 1j), reach * (-1 - 1j)):
+    for off in (reach * (1 + 1j), reach * (1 - 1j), reach * (-1 + 1j), reach * (-1 - 1j)):
         vals = f(pts + off)
         ok &= np.isfinite(vals) & (np.abs(vals) <= VALUE_CAP)
     return ok
@@ -264,10 +268,12 @@ def _feature_column(sigma, w, b, pts):
 def _draw_features(sigma, width, pts, rng, max_retries=100):
     """Admissible random inner weights: singular pre-activations are redrawn.
 
-    Returns the (n, width) C-order feature matrix, filled column by column,
-    and the (w, b) of each column.
+    Returns the (n, width + 1) C-order design matrix, whose column 0 is ones
+    and column k the k-th feature, filled column by column, and the (w, b)
+    of each feature.  A block of its rows is itself a C-order design.
     """
-    feats = np.empty((pts.size, width), dtype=complex)
+    feats = np.empty((pts.size, width + 1), dtype=complex)
+    feats[:, 0] = 1.0
     params = []
     while len(params) < width:
         for _ in range(max_retries):
@@ -275,7 +281,7 @@ def _draw_features(sigma, width, pts, rng, max_retries=100):
             b = complex(_disc_uniform(rng, ()))
             col = _feature_column(sigma, w, b, pts)
             if col is not None:
-                feats[:, len(params)] = col
+                feats[:, len(params) + 1] = col
                 params.append((w, b))
                 break
         else:
@@ -304,12 +310,10 @@ def error_floor_experiment(sigma, target, widths, domain, seed=0, keep_best=Fals
     best = None
     for width in widths:
         feats_all, params = _draw_features(sigma, width, both, rng)
-        nfit = fit_grid.size
-        design = np.concatenate([np.ones((nfit, 1)), feats_all[:nfit]], axis=1)
+        design, test_design = feats_all[: fit_grid.size], feats_all[fit_grid.size :]
         # truncated SVD keeps the outer coefficients bounded: near-dependent
         # feature directions otherwise breed huge cancelling terms
         coef, *_ = np.linalg.lstsq(design, fvals_fit, rcond=1e-8)
-        test_design = np.concatenate([np.ones((test_grid.size, 1)), feats_all[nfit:]], axis=1)
         err = np.abs(test_design @ coef - fvals_test)
         sup, l1 = float(np.max(err)), float(np.mean(err))
         rows.append((width, sup, l1))

@@ -296,9 +296,9 @@ def _cost(monkeypatch, sigma, run):
 
 def test_deep_gate_cost_on_ratio(monkeypatch):
     # a full classify of ratio evaluates sigma at 3,543,040 points and forms 38,290 lattice values; no fit residual
-    # of ratio is below tol, so the gate forms no derivative jet
+    # of ratio is below tol, so the gate forms no derivative jet, and its first-order stencils read 17 of 81 nodes
     cost = _cost(monkeypatch, RATIO, lambda sigma: constructor._require_verdict(sigma, "deep_universal"))
-    assert cost == (1789952, 9997)
+    assert cost == (1548288, 2637)
 
 
 def test_shallow_gate_cost_on_ratio(monkeypatch):

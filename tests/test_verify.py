@@ -198,6 +198,22 @@ def test_singular_features_are_redrawn_and_other_errors_propagate():
         floor(_raise(TypeError("bug")))
 
 
+def test_floor_designs_are_row_blocks_of_one_ones_column_matrix():
+    # the fit and test designs are views of the drawn matrix, with the bits of a ones column glued to the features
+    pts = make_grid(0.0, 1.0, 9).scalars
+    feats, params = verify._draw_features(by_name("sin"), 5, pts, np.random.default_rng(3))
+    assert feats.shape == (pts.size, 6) and len(params) == 5
+    fvals = cone(pts)
+    design, test_design = feats[:40], feats[40:]
+    glued = [np.concatenate([np.ones((rows.shape[0], 1)), rows[:, 1:]], axis=1) for rows in (design, test_design)]
+    assert design.flags.c_contiguous and test_design.flags.c_contiguous
+    assert np.array_equal(design.view(np.uint64), glued[0].view(np.uint64))
+    coef = np.linalg.lstsq(design, fvals[:40], rcond=1e-8)[0]
+    want = np.linalg.lstsq(glued[0], fvals[:40], rcond=1e-8)[0]
+    assert np.array_equal(coef.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal((test_design @ coef).view(np.uint64), (glued[1] @ want).view(np.uint64))
+
+
 @pytest.mark.parametrize(
     "name, depth, kind",
     [("sin", 3, "dbar"), ("abs2", 2, "laplacian:5"), ("tanh", 3, "dbar")],

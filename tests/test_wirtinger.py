@@ -538,3 +538,106 @@ def test_snap_steps_rounds_to_whole_spacings():
     f = LatticeMollification(by_name("ratio"), make_mollifier(0.05, 40))
     steps = np.array([0.01, 0.01 * np.sqrt(2), 0.035 * np.sqrt(2), 1e-4])
     assert np.allclose(f.snap_steps(steps) / 0.0025, [4, 6, 20, 1], rtol=0, atol=1e-12)
+
+
+def _full_square_entries(f, zs, entries, steps):
+    # the reference: every entry from f sampled on the whole (2n+1)^2 square, one step group at a time
+    K = max(m + ell for m, ell in entries)
+    n = stencil_halfwidth(K)
+    offs = np.arange(-n, n + 1)
+    out = {e: np.zeros(zs.shape, dtype=complex) for e in entries}
+    for h in np.unique(steps):
+        sel = steps == h
+        vals = f(zs[sel][:, None, None] + h * (offs[:, None] + 1j * offs[None, :]))
+        w = stencil_weights(n, float(h), K)
+        for e in entries:
+            for (a, b), coeff in wirtinger._mixed_coefficients(*e).items():
+                out[e][sel] += coeff * np.einsum("i,nij,j->n", w[:, a], vals, w[:, b])
+    return out
+
+
+_ZS = random_points(0.0, 2.0, 60, np.random.default_rng(32))[:, 0]
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [
+        1e-3 * (1.0 + np.abs(_ZS)),
+        2.0 ** -np.random.default_rng(33).integers(7, 14, _ZS.size),
+        np.full(_ZS.size, 1e-3),
+    ],
+    ids=["per-point", "powers-of-two", "1e-3"],
+)
+@pytest.mark.parametrize("entries", [[(1, 0), (0, 1)], [(0, 1)], [(1, 0)]])
+def test_first_order_entries_are_the_full_squares(steps, entries):
+    # f is sampled at the cross alone; a node left out adds only zeros, so every entry keeps its bits
+    # (== also takes -0 for +0: the sign of an exactly-zero entry may differ)
+    f = lambda z: np.tanh(z) * np.exp(0.3 * np.conj(z)) + z * np.conj(z)
+    got = jet_entries_at(f, _ZS, entries, step=steps)
+    want = _full_square_entries(f, _ZS, entries, steps)
+    for e in entries:
+        assert np.array_equal(got[e], want[e]), e
+
+
+@pytest.mark.parametrize(
+    "entries", [[(1, 0), (0, 1)], [(1, 1)], [(2, 0), (1, 1), (0, 2)], [(2, 1)], [(2, 2), (1, 1)], [(3, 3)]]
+)
+@pytest.mark.parametrize("step", [0.01, 1e-3])
+def test_stencils_sample_the_nodes_their_weights_read(entries, step):
+    # first order: the 17-node cross (d/dx's centre weight is roundoff, not 0, at these steps);
+    # a mixed partial reads every node of the square
+    sizes = []
+
+    def f(z):
+        sizes.append(z.size)
+        return np.sin(z)
+
+    zs = np.array([0.2 + 0.1j, -0.5j, 1.1])
+    jet_entries_at(f, zs, entries, step=step)
+    K = max(m + ell for m, ell in entries)
+    n = stencil_halfwidth(K)
+    assert sum(sizes) == zs.size * (17 if K == 1 else (2 * n + 1) ** 2)
+
+
+def _nan_at(node):
+    return lambda z: np.where(np.abs(z - node) < 1e-12, np.nan, zzbar(z))
+
+
+def test_a_non_finite_sample_raises_only_where_a_weight_reads_it():
+    h = 0.01
+    zs = np.array([0.3 + 0.2j])
+    first = [(1, 0), (0, 1)]
+    want = jet_entries_at(zzbar, zs, first, step=h)
+    # off both axes of the cross: every first-order partial weighs this node by 0
+    got = jet_entries_at(_nan_at(zs[0] + h * (2 + 1j)), zs, first, step=h)
+    assert all(np.array_equal(got[e], want[e]) for e in first)
+    # on the cross, and anywhere on the square once a mixed partial is asked for
+    with pytest.raises(StencilSingularityError, match="stencil hit singularity"):
+        jet_entries_at(_nan_at(zs[0] + 2 * h), zs, first, step=h)
+    with pytest.raises(StencilSingularityError, match="stencil hit singularity"):
+        jet_entries_at(_nan_at(zs[0] + h * (2 + 1j)), zs, [(1, 1)], step=h)
+
+
+def test_a_nonzero_off_centre_value_weight_keeps_the_full_square(monkeypatch):
+    # Fornberg's 0th-order column is an exact delta (the centre node zeroes every other weight), but the
+    # support reads the table: had roundoff left the off-centre weights nonzero, the whole square would be sampled
+    real = wirtinger.stencil_weights
+
+    def perturbed(halfwidth, step, order):
+        table = real(halfwidth, step, order).copy()
+        table[:, 0] = np.where(table[:, 0] == 0.0, 1e-17, table[:, 0])
+        return table
+
+    sizes = []
+
+    def f(z):
+        sizes.append(z.size)
+        return np.sin(z)
+
+    monkeypatch.setattr(wirtinger, "stencil_weights", perturbed)
+    wirtinger._stencil_support.cache_clear()
+    try:
+        jet_entries_at(f, np.array([0.2 + 0.1j]), [(1, 0), (0, 1)], step=0.01)
+    finally:
+        wirtinger._stencil_support.cache_clear()
+    assert sizes == [81]
