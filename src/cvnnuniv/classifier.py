@@ -82,6 +82,13 @@ def _smoothed(sigma):
     return LatticeMollification(sigma, _MOLLIFIER)
 
 
+def _on_lattice(grid, spacing):
+    """The points of ``grid`` rounded per axis to the lattice ``spacing * Z^2``; a point on it is returned unchanged."""
+    pts = np.array(points_of(grid), dtype=complex)
+    pts.real, pts.imag = spacing * np.round(pts.real / spacing), spacing * np.round(pts.imag / spacing)
+    return pts
+
+
 def _jets(f, pts, entries, step_scale):
     """Jet entries at ``pts`` with the default steps for ``step_scale``.
 
@@ -100,6 +107,11 @@ def _tested(sigma, mollifier):
     if sigma.smooth:
         return sigma.raw
     return mollifier if mollifier is not None else _smoothed(sigma)
+
+
+def _points_for(f, grid):
+    """The points of ``grid``, rounded to f's lattice when ``f`` is a :class:`LatticeMollification`."""
+    return _on_lattice(grid, f.spacing) if isinstance(f, LatticeMollification) else points_of(grid)
 
 
 def _polyharmonic_groups(sigma, max_order):
@@ -146,20 +158,20 @@ def detect_polyharmonic(sigma, max_order, grid, tol, mollifier=None):
     Returns (found, order_or_None, residuals).  Residual r_m is the grid
     maximum of |Delta^m| relative to max(1, sup|sigma|); non-smooth
     activations are tested through ``mollifier``, by default their
-    :class:`LatticeMollification`, which rounds the stencil steps to its
-    lattice; any other mollified function gets the default steps.
+    :class:`LatticeMollification`.  A lattice mollification (the default or
+    a caller's) is tested on the grid and steps rounded to its own spacing;
+    any other callable gets the grid as given and the default steps.
     """
-    pts = points_of(grid)
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
-    return _polyharmonic_search(_tested(sigma, mollifier), pts, _polyharmonic_groups(sigma, max_order), tol)
+    f = _tested(sigma, mollifier)
+    return _polyharmonic_search(f, _points_for(f, grid), _polyharmonic_groups(sigma, max_order), tol)
 
 
-def _directional_residuals(sigma, pts, mollifier=None):
-    vals = _jets(_tested(sigma, mollifier), pts, [(1, 0), (0, 1)], 0.01)
-    d_res = float(np.max(np.abs(vals[(1, 0)])))
-    dbar_res = float(np.max(np.abs(vals[(0, 1)])))
-    return d_res, dbar_res
+def _directional_residuals(f, pts):
+    """(max |d f|, max |dbar f|) over ``pts``."""
+    vals = _jets(f, pts, [(1, 0), (0, 1)], 0.01)
+    return float(np.max(np.abs(vals[(1, 0)]))), float(np.max(np.abs(vals[(0, 1)])))
 
 
 def _holomorphy_flags(d_res, dbar_res, tol):
@@ -172,10 +184,11 @@ def detect_holomorphy(sigma, grid, tol, mollifier=None):
     """Classify as "holomorphic", "antiholomorphic", or "neither".
 
     Compares the grid maxima of |d sigma| and |dbar sigma| (mollified when
-    sigma is not smooth) against ``tol`` relative to max(|d|, |dbar|, 1).
+    sigma is not smooth) against ``tol`` relative to max(|d|, |dbar|, 1),
+    on the grid rounded as in :func:`detect_polyharmonic`.
     """
-    pts = points_of(grid)
-    holo, anti = _holomorphy_flags(*_directional_residuals(sigma, pts, mollifier), tol)
+    f = _tested(sigma, mollifier)
+    holo, anti = _holomorphy_flags(*_directional_residuals(f, _points_for(f, grid)), tol)
     if holo and not anti:
         return "holomorphic"
     if anti and not holo:
@@ -233,12 +246,15 @@ def detect_polynomial(sigma, max_degree, grid, tol, mollifier=None, deriv_points
     in the monomials z^m zbar^l (m + l <= g) has relative sup residual below
     ``tol``, and the pure derivatives of order g + 1 vanish.  Returns
     (found, degree_or_None, fit_residuals, deriv_residuals), with one fit
-    and one derivative residual per degree 0..max_degree.
+    and one derivative residual per degree 0..max_degree.  The grid and
+    ``deriv_points`` are rounded as in :func:`detect_polyharmonic`.
     """
-    pts = points_of(grid)
+    if max_degree < 0:
+        raise ValueError("max_degree must be at least 0")
     f = _tested(sigma, mollifier)
+    pts = _points_for(f, grid)
     fit_residuals, scale = _fit_residuals(f, pts, max_degree)
-    dpts = subsample(pts, 60) if deriv_points is None else points_of(deriv_points)
+    dpts = subsample(pts, 60) if deriv_points is None else _points_for(f, deriv_points)
     deriv_residuals = _derivative_residuals(f, dpts, max_degree, scale)
     degree = _least_degree(fit_residuals, deriv_residuals, tol)
     return degree is not None, degree, fit_residuals, deriv_residuals
@@ -261,9 +277,7 @@ def _classification_points(sigma, config):
     Off the lattice some quadrature arguments fall on a cut; on the grids of
     radius 1, 2, 3, 4 and 8 the rounding moves no point.
     """
-    pts = make_grid(0.0, config.grid_radius, GRID_POINTS_PER_AXIS).scalars.copy()
-    spacing = _MOLLIFIER.spacing
-    pts.real, pts.imag = spacing * np.round(pts.real / spacing), spacing * np.round(pts.imag / spacing)
+    pts = _on_lattice(make_grid(0.0, config.grid_radius, GRID_POINTS_PER_AXIS), _MOLLIFIER.spacing)
     point_cuts = tuple(c for c in avoid_set(sigma) if c.kind == "points")
     curve_cuts = tuple(c for c in avoid_set(sigma) if c.kind != "points")
     mask = np.ones(pts.size, dtype=bool)
@@ -332,7 +346,7 @@ def _deep_stage(sigma, prepared, tol):
     fields, evidence).
     """
     probe, holo_pts, fit_pts, mollifier = prepared
-    d_res, dbar_res = _directional_residuals(sigma, holo_pts, mollifier)
+    d_res, dbar_res = _directional_residuals(_tested(sigma, mollifier), holo_pts)
     holomorphic, antiholomorphic = _holomorphy_flags(d_res, dbar_res, tol)
     poly_found, poly_degree, fit_res, deriv_res = detect_polynomial(
         sigma, MAX_DEGREE, fit_pts, tol, mollifier=mollifier, deriv_points=subsample(probe, 60)
@@ -371,9 +385,9 @@ def _deep_gate(sigma, prepared, tol):
     some fit residual is.
     """
     probe, holo_pts, fit_pts, mollifier = prepared
-    forbidden = any(_holomorphy_flags(*_directional_residuals(sigma, holo_pts, mollifier), tol))
+    f = _tested(sigma, mollifier)
+    forbidden = any(_holomorphy_flags(*_directional_residuals(f, holo_pts), tol))
     if not forbidden:
-        f = _tested(sigma, mollifier)
         fit_res, scale = _fit_residuals(f, fit_pts, MAX_DEGREE)
         if any(r < tol for r in fit_res):
             deriv_res = _derivative_residuals(f, subsample(probe, 60), MAX_DEGREE, scale)

@@ -6,7 +6,7 @@ class CvnnError(Exception):
 
 
 class GridError(CvnnError):
-    """Raised when a grid construction yields no usable points."""
+    """Raised when a grid construction leaves no points."""
 
 
 class StencilSingularityError(CvnnError):

@@ -8,7 +8,8 @@ the real partials: with z = x + iy,
 so d^m dbar^l expands binomially into mixed real partials of total order
 m + l.  The Laplacian satisfies Delta = 4 d dbar, hence Delta^m comes from
 the (m, m) jet entry.  Mollification smooths non-smooth activations by a
-compactly supported bump kernel so the stencils above apply.
+compactly supported bump kernel so the stencils above apply; it is evaluated
+at the points of the mollifier's lattice only (:class:`LatticeMollification`).
 """
 
 from __future__ import annotations
@@ -272,11 +273,10 @@ def _bump_values(u):
 
 
 def make_mollifier(epsilon, quadrature_points_per_axis=64):
-    """Build a :class:`MollifierSpec` for the given support radius."""
-    eps = float(epsilon)
-    q = int(quadrature_points_per_axis)
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
+    """Build a :class:`MollifierSpec`: support radius ``epsilon`` (finite, > 0), an integer >= 1 of nodes per axis."""
+    eps, q = float(epsilon), quadrature_points_per_axis
+    if not (math.isfinite(eps) and eps > 0 and isinstance(q, (int, np.integer)) and q >= 1):
+        raise ValueError("epsilon must be finite and positive, and quadrature_points_per_axis an integer >= 1")
     t = -1.0 + (np.arange(q) + 0.5) * (2.0 / q)
     uu = t[:, None] + 1j * t[None, :]
     vals = _bump_values(uu)
@@ -285,10 +285,9 @@ def make_mollifier(epsilon, quadrature_points_per_axis=64):
     mask = vals > 0.0
     weights = (norm * cell) * vals[mask]
     offsets = eps * uu[mask]
-    return MollifierSpec(epsilon=eps, quadrature_points_per_axis=q, offsets=offsets, weights=weights)
+    return MollifierSpec(epsilon=eps, quadrature_points_per_axis=int(q), offsets=offsets, weights=weights)
 
 
-_CHUNK = 4_000_000
 # side of a lattice's persistent sample canvas, centred on the lattice origin: every sample (u, v) that
 # classifying the catalog at the default radius reads lies in [-1060, 1060)^2 (rho_c reaches all four ends)
 _CANVAS = 2120
@@ -320,30 +319,12 @@ def _lattice_index(x, spacing):
     return on, np.where(on, idx, 0.0).astype(np.int64)
 
 
-def _finite(samples):
-    """``samples`` with every non-finite entry set to 0."""
-    bad = ~np.isfinite(samples)
-    if bad.any():
-        samples = np.where(bad, 0.0, samples)
-    return samples
-
-
 class _Canvas:
     """Samples of sigma over a block-aligned rectangle of samples from ``(u0, v0)``, and which blocks hold them."""
 
     def __init__(self, u0, v0, samples):
         self.u0, self.v0, self.samples = u0, v0, samples
         self.have = np.zeros((samples.shape[0] // _BLOCK, samples.shape[1] // _BLOCK), dtype=bool)
-
-
-def _by_nodes(sigma, spec, flat):
-    """The spec's quadrature at the points ``flat``, node by node, in blocks of about _CHUNK samples."""
-    out = np.zeros(flat.shape, dtype=complex)
-    block = max(1, _CHUNK // max(1, spec.offsets.size))
-    for start in range(0, flat.size, block):
-        zz = flat[start : start + block]
-        out[start : start + block] = _finite(sigma.raw(zz[:, None] - spec.offsets[None, :])) @ spec.weights
-    return out
 
 
 def _weighted_sums(flat, corners, window, weights):
@@ -365,9 +346,10 @@ def mollify(sigma, spec):
     """Smooth ``sigma`` by discrete convolution with the bump kernel.
 
     Returns the vectorized function ``z -> (eta_eps * sigma)(z)`` evaluated
-    by the spec's quadrature, a :class:`LatticeMollification`.  Non-finite
-    samples of ``sigma`` (declared singularities form a null set) are
-    skipped; the value at a non-finite point is NaN.
+    by the spec's quadrature, a :class:`LatticeMollification`: it takes
+    lattice points only and raises ``ValueError`` at any other finite point.
+    Non-finite samples of ``sigma`` (declared singularities form a null set)
+    are skipped; the value at a non-finite point is NaN.
     """
     return LatticeMollification(sigma, spec)
 
@@ -394,8 +376,12 @@ class LatticeMollification:
     value is dropped, and none is added once the budget is full.  Every
     sample is a pure function of (u, v) and every value one fixed-length sum,
     so a value has the same bits alone, in any batch, and whether or not it
-    or its samples were held before.  A non-finite point is NaN; every other
-    point takes the node-by-node quadrature (:func:`_by_nodes`).
+    or its samples were held before.  Only lattice points are evaluated: a
+    finite point off the lattice or past ``_LATTICE_REACH`` spacings raises
+    ``ValueError`` (rounding it would turn a jet at a sub-spacing step into
+    differences of equal values), and a non-finite point is NaN.  A spec
+    whose nodes are off the lattice (a hand-built :class:`MollifierSpec`)
+    raises ``ValueError`` here.
 
     Order rule: the calling thread takes the cells of points in order,
     samples each cell's missing blocks into its canvas and holds values
@@ -427,7 +413,8 @@ class LatticeMollification:
         self.frac = c - self.lead
         on_k, k = _lattice_index(spec.offsets.real + c * self.spacing, self.spacing)
         on_l, l = _lattice_index(spec.offsets.imag + c * self.spacing, self.spacing)
-        self.usable = k.size > 0 and bool(np.all(on_k & on_l))
+        if k.size == 0 or not np.all(on_k & on_l):
+            raise ValueError("the spec's nodes are not on its lattice")
         self.k, self.l = k, l
         self.weights = spec.weights
         # each node row k covers the columns l in [lo, hi] (a superset when the kernel has holes)
@@ -447,19 +434,16 @@ class LatticeMollification:
         flat = z.ravel()
         on_re, a = _lattice_index(flat.real, self.spacing)
         on_im, b = _lattice_index(flat.imag, self.spacing)
-        on = on_re & on_im & self.usable
-        off = ~on & np.isfinite(flat)
+        on = on_re & on_im
+        if np.any(~on & np.isfinite(flat)):
+            raise ValueError("a point is off the mollifier's lattice spacing * Z^2, or past its reach")
         out = np.full(flat.shape, complex(np.nan, np.nan))
         if on.any():
             out[on] = self._values(a[on] + self.lead, b[on] + self.lead)
-        if off.any():
-            out[off] = _by_nodes(self.sigma, self.spec, flat[off])
         return out.reshape(z.shape)
 
     def snap_steps(self, steps):
-        """``steps`` rounded to whole numbers of spacings, at least one (unchanged when the nodes are off any lattice)."""
-        if not self.usable:
-            return steps
+        """``steps`` rounded to whole numbers of spacings, at least one."""
         return self.spacing * np.maximum(1.0, np.round(np.asarray(steps, dtype=float) / self.spacing))
 
     def _values(self, u, v):
@@ -562,7 +546,8 @@ class LatticeMollification:
             # the last piece is padded with copies of its own arguments
             full = piece if piece.size == _PIECE else np.resize(piece, _PIECE)
             out[s : s + _PIECE] = self.sigma.raw(full)[: piece.size]
-        return _finite(out).reshape(args.shape)
+        out[~np.isfinite(out)] = 0.0
+        return out.reshape(args.shape)
 
     def _reserve_values(self, count):
         """How many of a cell's ``count`` new values, first keys first, the budget holds; they count as held at once."""

@@ -167,6 +167,38 @@ def test_detect_polynomial_cases():
     assert found and deg == 2
     found, deg, *_ = detect_polynomial(by_name("ratio"), 4, grid, 1e-4)
     assert not found and deg is None
+    with pytest.raises(ValueError, match="max_degree must be at least 0"):
+        detect_polynomial(by_name("poly_zzbar"), -1, grid, 1e-4)
+
+
+def _rounded(pts, spacing):
+    # the points rounded per axis to the lattice ``spacing * Z^2``
+    out = np.array(pts, dtype=complex)
+    out.real, out.imag = spacing * np.round(out.real / spacing), spacing * np.round(out.imag / spacing)
+    return out
+
+
+def _detections(grid, deriv_points, mollifier=None):
+    ratio = by_name("ratio")
+    return repr(
+        (
+            detect_polyharmonic(ratio, 4, grid, 1e-4, mollifier=mollifier),
+            detect_holomorphy(ratio, grid, 1e-4, mollifier=mollifier),
+            detect_polynomial(ratio, 4, grid, 1e-4, mollifier=mollifier, deriv_points=deriv_points),
+        )
+    )
+
+
+@pytest.mark.parametrize("epsilon, q", [(None, None), (0.1, 12)], ids=["default", "caller"])
+def test_detect_rounds_an_off_lattice_grid_to_the_mollifiers_lattice(epsilon, q):
+    # the default mollification (spacing 0.0025) or a caller's (spacing 1/60) is tested on its own lattice:
+    # every residual has the bits of the grid rounded to it (repr tells apart any two floats)
+    mollifier = wirtinger.mollify(by_name("ratio"), wirtinger.make_mollifier(epsilon, q)) if q else None
+    spacing = mollifier.spacing if q else 0.0025
+    pts = make_grid(0.0, 2.0, 15).scalars
+    deriv = pts[::4] + 0.3 * spacing
+    want = _detections(_rounded(pts, spacing), _rounded(deriv, spacing), mollifier)
+    assert _detections(pts, deriv, mollifier) == want
 
 
 def test_not_locally_bounded_is_indeterminate():

@@ -126,7 +126,6 @@ def _forbidden(*args, **kwargs):
 
 def test_synthesis_never_mollifies(monkeypatch):
     # every synthesis samples the raw activation, non-smooth ones included
-    monkeypatch.setattr(wirtinger, "_by_nodes", _forbidden)
     monkeypatch.setattr(wirtinger.LatticeMollification, "__call__", _forbidden)
     for name in ("zlog", "rho_c", "arcsin_principal"):
         _, cert = synthesize_shallow(by_name(name), cone, (0.0, 1.0), 4, CFG, target_name="cone", gate=False)

@@ -79,11 +79,9 @@ def test_monomial_reproduction_identity():
     # z^m zbar^l (d^m dbar^l phi)(theta)
     theta = 0.3 + 0.2j
     zs = random_points(0.0, 1.0, 12, np.random.default_rng(3))[:, 0]
-    moll = mollify(by_name("ratio"), make_mollifier(0.05))
     cases = [
         (zzbar, lambda m, l: zzbar_jet_exact(theta, m, l)),
         (np.sin, None),
-        (moll, None),
     ]
     for phi, exact in cases:
         ref = wirtinger_jet(phi, theta, 2, 2, step=1e-2)
@@ -94,7 +92,7 @@ def test_monomial_reproduction_identity():
                 got = np.asarray(
                     [wirtinger_jet(lambda w, z=z: phi(w * z + theta), 0.0, 2, 2, step=1e-2)[(m, ell)] for z in zs]
                 )
-                assert np.max(np.abs(got - want)) <= 1e-4 * scale, (getattr(phi, "__name__", "moll"), m, ell)
+                assert np.max(np.abs(got - want)) <= 1e-4 * scale, (phi.__name__, m, ell)
                 if exact is not None:
                     assert abs(ref[(m, ell)] - exact(m, ell)) <= 1e-4 * scale
 
@@ -145,10 +143,42 @@ def test_mollifier_normalization_and_support():
     assert np.all(np.abs(spec.offsets) < 0.05)
 
 
+def _rounded(z, spacing):
+    # ``z`` rounded per axis to the lattice ``spacing * Z^2``
+    out = np.array(z, dtype=complex)
+    out.real, out.imag = spacing * np.round(out.real / spacing), spacing * np.round(out.imag / spacing)
+    return out
+
+
+def test_make_mollifier_builds_the_lattice_spec():
+    spec = make_mollifier(0.05, np.int64(40))
+    assert spec.quadrature_points_per_axis == 40 and type(spec.quadrature_points_per_axis) is int
+    assert spec.spacing == pytest.approx(0.0025, rel=1e-15) and spec.weights.size == 1264
+
+
+@pytest.mark.parametrize(
+    "epsilon, q", [(0.05, 0), (0.05, -3), (np.nan, 40), (np.inf, 40), (0.05, 2.5), (0.0, 40), (-0.05, 40)]
+)
+def test_make_mollifier_validates_its_inputs(epsilon, q):
+    with pytest.raises(ValueError, match="epsilon must be finite and positive, and quadrature_points_per_axis"):
+        make_mollifier(epsilon, q)
+
+
+def test_a_spec_whose_nodes_are_off_its_lattice_is_refused():
+    # only a hand-built spec can have them: its nodes shifted by 0.3 spacings, or no nodes at all
+    spec = make_mollifier(0.05, 40)
+    shifted = dataclasses.replace(spec, offsets=spec.offsets + 0.3 * spec.spacing)
+    empty = dataclasses.replace(spec, offsets=np.empty(0, dtype=complex), weights=np.empty(0))
+    for bad in (shifted, empty):
+        with pytest.raises(ValueError, match="the spec's nodes are not on its lattice"):
+            mollify(by_name("ratio"), bad)
+
+
 def test_mollify_preserves_affine():
     affine = by_name("poly_zzbar")  # z + zbar = 2 Re z is affine in (x, y)
-    f = mollify(affine, make_mollifier(0.1))
-    zs = random_points(0.0, 2.0, 50, np.random.default_rng(6))[:, 0]
+    spec = make_mollifier(0.1)
+    f = mollify(affine, spec)
+    zs = _rounded(random_points(0.0, 2.0, 50, np.random.default_rng(6))[:, 0], spec.spacing)
     assert np.max(np.abs(f(zs) - affine(zs))) <= 1e-12
 
 
@@ -185,13 +215,15 @@ def _lattice_points(spec, centers, seed, step=4, half=5, reach=700):
 
 
 def _by_nodes(sigma, spec, z):
-    # the node-by-node quadrature in blocks of _CHUNK samples: the off-lattice path
-    out = np.zeros(z.shape, dtype=complex)
-    block = max(1, wirtinger._CHUNK // spec.offsets.size)
-    for start in range(0, z.size, block):
-        samples = sigma.raw(z[start : start + block, None] - spec.offsets[None, :])
-        out[start : start + block] = np.where(np.isfinite(samples), samples, 0.0) @ spec.weights
-    return out
+    # the reference: the node-by-node quadrature at ``z``, and the same sum of |samples| to scale its error
+    samples = sigma.raw(z[:, None] - spec.offsets[None, :])
+    samples = np.where(np.isfinite(samples), samples, 0.0)
+    return samples @ spec.weights, np.abs(samples) @ spec.weights
+
+
+def _assert_is_the_node_quadrature(got, sigma, spec, z):
+    want, scale = _by_nodes(sigma, spec, z)
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
 
 @pytest.mark.parametrize("name", ["ratio", "zlog", "arcsin_principal", "example_4_8"])
@@ -199,25 +231,38 @@ def test_mollify_on_lattice_matches_direct_quadrature(name):
     sigma = by_name(name)
     spec = make_mollifier(0.05, 40)
     z = np.concatenate([_lattice_points(spec, 4, 11), _lattice_points(spec, 200, 12, half=0)])
-    samples = sigma.raw(z[:, None] - spec.offsets[None, :])
-    samples = np.where(np.isfinite(samples), samples, 0.0)
-    err = np.abs(LatticeMollification(sigma, spec)(z) - samples @ spec.weights)
-    assert np.all(err <= 1e-13 * (np.abs(samples) @ spec.weights))
+    _assert_is_the_node_quadrature(LatticeMollification(sigma, spec)(z), sigma, spec, z)
 
 
-def test_lattice_mollification_off_lattice_is_the_node_quadrature_bit_for_bit():
+def test_lattice_mollification_refuses_points_off_the_lattice():
+    # a point off the lattice, or past its reach, is refused, not rounded; rounded onto the lattice it is the node quadrature
     sigma = by_name("zlog")
     spec = make_mollifier(0.05, 40)
-    z = random_points(0.0, 2.0, 5000, np.random.default_rng(12))[:, 0]
-    got = LatticeMollification(sigma, spec)(z)
-    assert np.array_equal(got.view(np.uint64), _by_nodes(sigma, spec, z).view(np.uint64))
+    z = random_points(0.0, 2.0, 500, np.random.default_rng(12))[:, 0]
+    f = LatticeMollification(sigma, spec)
+    for bad in (z, np.array([(wirtinger._LATTICE_REACH + 1) * spec.spacing + 0j])):
+        with pytest.raises(ValueError, match="off the mollifier's lattice"):
+            f(bad)
+    on = _rounded(z, spec.spacing)
+    _assert_is_the_node_quadrature(f(on), sigma, spec, on)
+
+
+def test_mollify_refuses_one_off_lattice_point_in_a_lattice_batch():
+    # nothing is sampled or held for the refused batch
+    spec = make_mollifier(0.05, 12)
+    z = _lattice_points(spec, 3, 25)
+    z[17] += 0.4 * spec.spacing
+    f = mollify(by_name("ratio"), spec)
+    with pytest.raises(ValueError, match="off the mollifier's lattice"):
+        f(z)
+    assert f.held_values == 0 and not f.canvas.have.any()
 
 
 def test_mollify_is_the_lattice_mollification():
-    # one mollified function: mollify builds a LatticeMollification, whose values are a fresh instance's on and off the lattice
+    # one mollified function: mollify builds a LatticeMollification, whose values are a fresh instance's
     sigma = by_name("zlog")
     spec = make_mollifier(0.05, 12)
-    z = np.concatenate([_lattice_points(spec, 30, 16), random_points(0.0, 2.0, 500, np.random.default_rng(16))[:, 0]])
+    z = _lattice_points(spec, 30, 16)
     f = mollify(sigma, spec)
     assert isinstance(f, LatticeMollification) and f.spec is spec
     assert np.array_equal(f(z).view(np.uint64), LatticeMollification(sigma, spec)(z).view(np.uint64))
@@ -226,8 +271,8 @@ def test_mollify_is_the_lattice_mollification():
 def test_mollify_is_nan_at_non_finite_points():
     f = mollify(by_name("ratio"), make_mollifier(0.05, 12))
     bad = np.array([np.nan, np.inf, complex(0.0, -np.inf), complex(np.nan, 0.3)])
-    # on the lattice (0.3 + 0.1j) and off it
-    good = np.array([0.3 + 0.1j, 0.123 + 0.456j])
+    # on the lattice (36 + 12 i and -60 + 30 i spacings)
+    good = np.array([0.3 + 0.1j, -0.5 + 0.25j])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = f(np.concatenate([bad, good]))
@@ -342,12 +387,10 @@ def test_lattice_keys_at_the_lattice_reach(monkeypatch):
     a, b = np.meshgrid(ends, ends)
     z = (a * spec.spacing + 1j * (b * spec.spacing)).ravel()
     f = LatticeMollification(sigma, spec)
-    assert f.usable
     formed = _formed(f, monkeypatch)
     got = f(z)
     assert sum(formed) == z.size
-    samples = np.where(np.isfinite(s := sigma.raw(z[:, None] - spec.offsets[None, :])), s, 0.0)
-    assert np.all(np.abs(got - samples @ spec.weights) <= 1e-13 * (np.abs(samples) @ spec.weights))
+    _assert_is_the_node_quadrature(got, sigma, spec, z)
     assert np.array_equal(f(z[::-1])[::-1].copy().view(np.uint64), got.view(np.uint64))
     assert sum(formed) == z.size
 
