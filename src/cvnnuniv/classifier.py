@@ -32,7 +32,7 @@ INDETERMINATE = "indeterminate"
 # fixed numerical policy; the report's version pins it
 GRID_POINTS_PER_AXIS = 33
 MOLLIFIER_EPSILON = 0.05
-MOLLIFIER_QUADRATURE = 40
+MOLLIFIER_QUADRATURE = 20
 MAX_ORDER = 4
 MAX_DEGREE = 4
 POINT_SINGULARITY_GUARD = 0.5

@@ -272,7 +272,7 @@ def _bump_values(u):
     return out
 
 
-def make_mollifier(epsilon, quadrature_points_per_axis=64):
+def make_mollifier(epsilon, quadrature_points_per_axis):
     """Build a :class:`MollifierSpec`: support radius ``epsilon`` (finite, > 0), an integer >= 1 of nodes per axis."""
     eps, q = float(epsilon), quadrature_points_per_axis
     if not (math.isfinite(eps) and eps > 0 and isinstance(q, (int, np.integer)) and q >= 1):

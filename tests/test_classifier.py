@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cvnnuniv import wirtinger
 from cvnnuniv.activations import ActivationSpec, activation_catalog, activation_names, by_name
 from cvnnuniv.classifier import (
+    _MOLLIFIER,
     ClassifierConfig,
     _deep_stage,
     _prepared_points,
@@ -191,10 +192,10 @@ def _detections(grid, deriv_points, mollifier=None):
 
 @pytest.mark.parametrize("epsilon, q", [(None, None), (0.1, 12)], ids=["default", "caller"])
 def test_detect_rounds_an_off_lattice_grid_to_the_mollifiers_lattice(epsilon, q):
-    # the default mollification (spacing 0.0025) or a caller's (spacing 1/60) is tested on its own lattice:
-    # every residual has the bits of the grid rounded to it (repr tells apart any two floats)
+    # the default mollification (spacing _MOLLIFIER.spacing) or a caller's (spacing 1/60) is tested on its own
+    # lattice: every residual has the bits of the grid rounded to it (repr tells apart any two floats)
     mollifier = wirtinger.mollify(by_name("ratio"), wirtinger.make_mollifier(epsilon, q)) if q else None
-    spacing = mollifier.spacing if q else 0.0025
+    spacing = mollifier.spacing if q else _MOLLIFIER.spacing
     pts = make_grid(0.0, 2.0, 15).scalars
     deriv = pts[::4] + 0.3 * spacing
     want = _detections(_rounded(pts, spacing), _rounded(deriv, spacing), mollifier)
@@ -262,9 +263,9 @@ def _copy(spec, fn=None, **changes):
 
 
 def test_mollified_classify_evaluates_sigma_once_per_lattice_argument():
-    # the mollifier has 1264 nodes; evaluating each stencil node's quadrature on its own costs about 6.4e7 points.
-    # The radius-1.5 grid steps by 37.5 lattice spacings: its points are rounded to the lattice too (about 5e7
-    # points when every other one is off it)
+    # the mollifier has 316 nodes; evaluating each stencil node's quadrature on its own costs about 1.6e7 points.
+    # The radius-1.5 grid steps by 18.75 lattice spacings: its points are rounded to the lattice too (the
+    # mollification refuses a point off it)
     ratio = by_name("ratio")
     for radius in (2.0, 1.5):
         points = []
@@ -286,7 +287,7 @@ def test_example_4_8_at_an_off_lattice_radius():
 
 
 def test_mollified_classify_forms_one_sum_per_distinct_lattice_point(monkeypatch):
-    # a lattice value is one 1264-term sum; every value the classifier asks for again is read back
+    # a lattice value is one sum over the mollifier's nodes; every value the classifier asks for again is read back
     lattice = wirtinger.LatticeMollification
     instances, points, sums = set(), set(), []
     call, cell_values = lattice.__call__, lattice._cell_values
@@ -301,7 +302,7 @@ def test_mollified_classify_forms_one_sum_per_distinct_lattice_point(monkeypatch
         return call(self, z)
 
     def counted_cell_values(self, u, v):
-        assert self.weights.size == 1264
+        assert self.spec is _MOLLIFIER
         sums.append(u.size)
         return cell_values(self, u, v)
 

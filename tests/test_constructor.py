@@ -294,16 +294,16 @@ def _cost(monkeypatch, sigma, run):
 
 
 def test_deep_gate_cost_on_ratio(monkeypatch):
-    # a full classify of ratio evaluates sigma at 3,543,040 points and forms 38,290 lattice values; no fit residual
+    # a full classify of ratio evaluates sigma at 929,792 points and forms 37,622 lattice values; no fit residual
     # of ratio is below tol, so the gate forms no derivative jet, and its first-order stencils read 17 of 81 nodes
     cost = _cost(monkeypatch, RATIO, lambda sigma: constructor._require_verdict(sigma, "deep_universal"))
-    assert cost == (1548288, 2637)
+    assert cost == (442368, 2637)
 
 
 def test_shallow_gate_cost_on_ratio(monkeypatch):
     # the first probe rules out every order, so only the scale and the first probe's two stencils are formed
     cost = _cost(monkeypatch, RATIO, lambda sigma: constructor._require_verdict(sigma, "shallow_universal"))
-    assert cost == (446464, 402)
+    assert cost == (131072, 402)
 
 
 def test_rho_c_shallow_gate_costs_the_full_shallow_stage(monkeypatch):
@@ -318,7 +318,7 @@ def test_rho_c_shallow_gate_costs_the_full_shallow_stage(monkeypatch):
         rho_c,
         lambda sigma: classifier._shallow_stage(sigma, classifier._prepared_points(sigma, config), config.tol),
     )
-    assert gate[1] == stage[1] == 37548
+    assert gate[1] == stage[1] == 37279
 
 
 def test_build_relu_c_budget():

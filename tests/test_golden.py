@@ -26,13 +26,13 @@ REPORTS = {
 }
 
 GOLDEN = {
-    "0.1.0": {
+    "0.2.0": {
         "numpy": "2.4.6",
         "blas_threads": 1,
         "sha256": {
-            "classify-ratio": "c3212c781d486a2e62ebe95a110295cd6af9818e307a7d1fed23a6f2611c3bd7",
-            "approximate-shallow-ratio-cone": "284d0d6f2e0223d5ea17e9da5f42248b8fc0aa5943ad3cb676e904687e2728c0",
-            "invariants-sin-dbar-L3": "1b02cca21d2843e38c886f181939332918d99b706354d639d207ec0143b5b47a",
+            "classify-ratio": "987bbd9a0a4bd50839f577e4f07ab73cd02570114bb0894f8a9c5cb6a82edf45",
+            "approximate-shallow-ratio-cone": "b8b6e934538b74dbeaab2039fa45b7b9600ad2c0e5c9be500259a322788aac3d",
+            "invariants-sin-dbar-L3": "97fa866535df0e85009d9f7c7754363758651909a137417faa6c8a56fc33f2e5",
         },
     },
 }

@@ -6,10 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from cvnnuniv import wirtinger, workers
+from cvnnuniv import classifier, wirtinger, workers
 from cvnnuniv.activations import by_name
 from cvnnuniv.errors import StencilSingularityError
-from cvnnuniv.grids import random_points
+from cvnnuniv.grids import make_grid, random_points
 from cvnnuniv.wirtinger import (
     LatticeMollification,
     default_step,
@@ -138,7 +138,7 @@ def test_holomorphic_jets_vanish():
 
 
 def test_mollifier_normalization_and_support():
-    spec = make_mollifier(0.05)
+    spec = make_mollifier(0.05, 64)
     assert spec.weights.sum() == pytest.approx(1.0, abs=1e-6)
     assert np.all(np.abs(spec.offsets) < 0.05)
 
@@ -176,7 +176,7 @@ def test_a_spec_whose_nodes_are_off_its_lattice_is_refused():
 
 def test_mollify_preserves_affine():
     affine = by_name("poly_zzbar")  # z + zbar = 2 Re z is affine in (x, y)
-    spec = make_mollifier(0.1)
+    spec = make_mollifier(0.1, 64)
     f = mollify(affine, spec)
     zs = _rounded(random_points(0.0, 2.0, 50, np.random.default_rng(6))[:, 0], spec.spacing)
     assert np.max(np.abs(f(zs) - affine(zs))) <= 1e-12
@@ -185,7 +185,7 @@ def test_mollify_preserves_affine():
 def test_mollify_rho_c():
     rho = by_name("rho_c")
     eps = 0.05
-    f = mollify(rho, make_mollifier(eps))
+    f = mollify(rho, make_mollifier(eps, 64))
     # far from the crease the kernel sees only the affine part
     assert f(0.5 + 0.3j) == pytest.approx(0.5, abs=1e-12)
     # at the crease the value sits strictly inside (0, eps)
@@ -546,11 +546,18 @@ def test_points_outside_the_canvas_get_a_fresh_instances_bits():
     assert not f.canvas.have.all()
 
 
+def _classifier_snapped_steps():
+    # the classifier's steps on the default grid, each scale times the levels of stencil_steps, snapped to its lattice
+    lattice = LatticeMollification(by_name("ratio"), classifier._MOLLIFIER)
+    levels = stencil_steps(make_grid(0.0, 2.0, classifier.GRID_POINTS_PER_AXIS).scalars, 1.0)
+    return {lattice.spacing} | {float(h) for s in (0.01, 0.02, 0.035) for h in lattice.snap_steps(s * levels)}
+
+
 # steps the callers use: the classifier's default and snapped steps, verify's per-point first-order steps
 # 1e-3 (1 + |z|) and halved powers of two, its Laplacian steps, and the constructor's dilation steps
 _STEPS = sorted(
     {float(h) for K in range(1, 9) for h in (default_step(K), default_step(K, 0.7 - 1.2j))}
-    | {0.0025 * k for k in (1, 4, 6, 8, 14, 20, 28)}
+    | _classifier_snapped_steps()
     | {float(h) for h in 1e-3 * (1.0 + np.abs(random_points(0.0, 2.0, 40, np.random.default_rng(18))[:, 0]))}
     | {2.0**-k for k in range(5, 16)}
     | {float(h) for k in (1, 2, 3) for h in stencil_steps(np.array([0.0, 1.0, 1.9j]), 0.12 * np.sqrt(k))}
