@@ -16,6 +16,7 @@ include points close to (and on) the declared cuts.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from . import __version__
 from .activations import avoid_set
 from .errors import ActivationSingularityError
 from .grids import cut_distance, make_grid, points_of, random_points, subsample
-from .wirtinger import LatticeMollification, jet_entries_at, make_mollifier, stencil_steps
+from .wirtinger import LatticeMollification, jet_entries_at, make_mollifier, stencil_halfwidth, stencil_steps
 
 YES = "yes"
 NO = "no"
@@ -295,6 +296,21 @@ def _classification_points(sigma, config):
         dist = cut_distance(moll_pts, cuts)
         near = moll_pts[dist <= 1.5 * MOLLIFIER_EPSILON]
     return raw_pts, moll_pts, near
+
+
+def largest_radius(sigma):
+    """Largest ``grid_radius`` whose points and stencil nodes all lie within the mollifier's reach; inf when smooth.
+
+    The grid reaches R, and the widest stencil, the polyharmonic search's
+    last group, reaches its halfwidth n times a step of at most
+    ``scale * 2^(1/4) (1 + R)`` (:func:`stencil_steps`) plus half a spacing
+    (:meth:`~LatticeMollification.snap_steps`).
+    """
+    if sigma.smooth:
+        return math.inf
+    n, scale = max((stencil_halfwidth(2 * max(orders)), s) for orders, s in _polyharmonic_groups(sigma, MAX_ORDER))
+    grow = n * scale * 2**0.25
+    return (_MOLLIFIER.reach - grow) / (1.0 + grow) - n * _MOLLIFIER.spacing
 
 
 def _prepared_points(sigma, config):

@@ -17,7 +17,7 @@ import sys
 
 from . import __version__
 from .activations import activation_names, by_name
-from .classifier import ClassifierConfig, classify
+from .classifier import ClassifierConfig, classify, largest_radius
 from .constructor import (
     JET_LIMIT,
     ConstructorConfig,
@@ -114,6 +114,10 @@ def _check_ranges(args):
         value = getattr(args, flag, None)
         if value is not None and not value > 0:
             raise UsageError(f"--{flag} must be positive, got {value}")
+    if args.command == "classify" and args.radius is not None:
+        limit = largest_radius(by_name(args.activation))
+        if args.radius > limit:
+            raise UsageError(f"--radius must be at most {limit:.6g} for {args.activation}, the reach of its mollifier's lattice")
 
 
 def _cmd_classify(args):

@@ -263,6 +263,11 @@ class MollifierSpec:
         """Distance between neighbouring quadrature nodes, ``2 epsilon / q``."""
         return 2.0 * self.epsilon / self.quadrature_points_per_axis
 
+    @property
+    def reach(self):
+        """Largest |coordinate| a computed lattice point may have: two roundings, at most 2 eps |x|, stay within _ON_LATTICE spacings."""
+        return _ON_LATTICE * self.spacing / (2.0 * math.ulp(1.0))
+
 
 def _bump_values(u):
     r2 = np.abs(u) ** 2

@@ -286,6 +286,32 @@ def test_example_4_8_at_an_off_lattice_radius():
     assert rep.ae_equal_but_discontinuous
 
 
+MOLLIFIED = ("ratio", "zlog", "rho_c", "example_4_8", "arcsin_principal")
+
+
+@pytest.mark.parametrize("radius", [0.5, 1.0, 1.5, 2.0, 3.0, 4.0])
+def test_mollified_catalog_verdicts_hold_at_every_radius(radius):
+    # the verdicts decided through the mollifier's quadrature, on grids inside and outside its sample canvas;
+    # the radius-0.5 grid misses arcsin_principal's cuts, a known wrong answer (tests/test_known_defects.py)
+    for name in MOLLIFIED if radius > 0.5 else [n for n in MOLLIFIED if n != "arcsin_principal"]:
+        rep = classify(by_name(name), ClassifierConfig(grid_radius=radius))
+        assert (rep.shallow_universal, rep.deep_universal) == EXPECTED[name], name
+        assert rep.ae_equal_but_discontinuous == (name == "example_4_8"), name
+
+
+@pytest.mark.parametrize("phi", [0.3, 0.7, 1.2, 2.0, 2.9])
+def test_rotated_rho_c_is_universal(phi):
+    # max(0, Re(e^{i phi} z)) creases on the line Re(e^{i phi} z) = 0, through 0 along i e^{-i phi}
+    turn = np.exp(1j * phi)
+    rotated = ActivationSpec(
+        name=f"rho_c_{phi}",
+        fn=lambda z: np.maximum(0.0, (turn * z).real) + 0j,
+        nonsmooth_set=(line_cut(0.0, 1j / turn),),
+    )
+    rep = classify(rotated)
+    assert (rep.shallow_universal, rep.deep_universal, rep.polyharmonic_order) == ("yes", "yes", None)
+
+
 def test_mollified_classify_forms_one_sum_per_distinct_lattice_point(monkeypatch):
     # a lattice value is one sum over the mollifier's nodes; every value the classifier asks for again is read back
     lattice = wirtinger.LatticeMollification

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from cvnnuniv import cli
+from cvnnuniv import cli, wirtinger
 from cvnnuniv.activations import by_name
+from cvnnuniv.classifier import largest_radius
 from cvnnuniv.cli import run_cli
 from cvnnuniv.constructor import ConstructorConfig, synthesize_deep, synthesize_shallow
 from cvnnuniv.network import load_network
@@ -149,6 +150,36 @@ def test_out_of_range_flag_exits_2_before_work(argv, tmp_path, capsys, monkeypat
     assert run_cli(argv + ["--out", str(out)]) == 2
     assert len(capsys.readouterr().err.splitlines()) == 1
     assert not out.exists()
+
+
+MOLLIFIED = ("ratio", "zlog", "rho_c", "example_4_8", "arcsin_principal")
+
+
+def test_classify_radius_past_the_lattice_reach_exits_2(tmp_path, capsys, monkeypatch):
+    # past largest_radius a grid point or stencil node of a mollified classification may be off the lattice
+    _no_work(monkeypatch)
+    out = tmp_path / "report.json"
+    for name in MOLLIFIED:
+        limit = largest_radius(by_name(name))
+        for radius in (np.nextafter(limit, np.inf), 4.2e4, 5e4, 1e7):
+            assert run_cli(["classify", "--activation", name, "--radius", repr(float(radius)), "--out", str(out)]) == 2
+            assert f"--radius must be at most {limit:.6g} for {name}" in capsys.readouterr().err
+            assert not out.exists()
+    assert largest_radius(by_name("sin")) == np.inf
+
+
+def test_classify_up_to_the_lattice_reach_stays_on_the_lattice(tmp_path, monkeypatch):
+    # the lattice sums are replaced by cheap pseudo-random values: every point still passes the lattice test
+    def values(self, u, v):
+        x = np.sin(12.9898 * u + 78.233 * v) * 43758.5453
+        return (x - np.floor(x)) + 1j * np.cos(0.37 * u + v)
+
+    monkeypatch.setattr(wirtinger.LatticeMollification, "_values", values)
+    out = tmp_path / "report.json"
+    for name in MOLLIFIED:
+        limit = largest_radius(by_name(name))
+        for radius in (limit, 0.999 * limit, 0.5 * limit):
+            assert run_cli(["classify", "--activation", name, "--radius", repr(float(radius)), "--out", str(out)]) == 0
 
 
 def test_config_flag_exits_2(tmp_path, monkeypatch):

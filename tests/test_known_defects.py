@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from cvnnuniv.activations import ActivationSpec, by_name
-from cvnnuniv.classifier import _verdict, classify
+from cvnnuniv.classifier import ClassifierConfig, _verdict, classify
 from cvnnuniv.cli import run_cli
 from cvnnuniv.grids import make_grid
 from cvnnuniv.verify import check_network_invariant
@@ -50,6 +50,13 @@ def test_abs_pow8_is_no_universal_activation():
 def test_a_polynomial_of_degree_5_or_more_is_no_deep_universal_activation(sigma):
     # a depth-L network of a degree-N polynomial is a polynomial of degree N^L
     assert _verdict(sigma, "deep_universal") != "yes"
+
+
+@wrong_answer("a grid inside the cuts sees only a holomorphic function and reads no/indeterminate (ROADMAP item 3)")
+def test_arcsin_principal_is_universal_on_a_grid_that_misses_its_cuts():
+    # arcsin is holomorphic on |z| < 1 but, through its cuts |x| >= 1, not a.e. polyharmonic on C
+    report = classify(by_name("arcsin_principal"), ClassifierConfig(grid_radius=0.5))
+    assert (report.shallow_universal, report.deep_universal) == ("yes", "yes")
 
 
 def _certificate(tmp_path, argv):
