@@ -276,7 +276,7 @@ def _classification_points(sigma, config):
     """Raw-path points, mollified-path points, and near-cut probes, all on the mollifier's lattice.
 
     Off the lattice some quadrature arguments fall on a cut; on the grids of
-    radius 1, 2, 3, 4 and 8 the rounding moves no point.
+    radius 2, 4 and 8 the rounding moves no point.
     """
     pts = _on_lattice(make_grid(0.0, config.grid_radius, GRID_POINTS_PER_AXIS), _MOLLIFIER.spacing)
     point_cuts = tuple(c for c in avoid_set(sigma) if c.kind == "points")
@@ -301,16 +301,15 @@ def _classification_points(sigma, config):
 def largest_radius(sigma):
     """Largest ``grid_radius`` whose points and stencil nodes all lie within the mollifier's reach; inf when smooth.
 
-    The grid reaches R, and the widest stencil, the polyharmonic search's
-    last group, reaches its halfwidth n times a step of at most
+    The grid reaches R, and the widest stencil, one of the polyharmonic
+    search's, reaches its halfwidth times a step of at most
     ``scale * 2^(1/4) (1 + R)`` (:func:`stencil_steps`) plus half a spacing
     (:meth:`~LatticeMollification.snap_steps`).
     """
     if sigma.smooth:
         return math.inf
-    n, scale = max((stencil_halfwidth(2 * max(orders)), s) for orders, s in _polyharmonic_groups(sigma, MAX_ORDER))
-    grow = n * scale * 2**0.25
-    return (_MOLLIFIER.reach - grow) / (1.0 + grow) - n * _MOLLIFIER.spacing
+    grow = max(stencil_halfwidth(2 * max(orders)) * s for orders, s in _polyharmonic_groups(sigma, MAX_ORDER)) * 2**0.25
+    return (_MOLLIFIER.reach - grow) / (1.0 + grow) - stencil_halfwidth(2 * MAX_ORDER) * _MOLLIFIER.spacing
 
 
 def _prepared_points(sigma, config):

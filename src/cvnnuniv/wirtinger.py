@@ -265,7 +265,12 @@ class MollifierSpec:
 
     @property
     def reach(self):
-        """Largest |coordinate| a computed lattice point may have: two roundings, at most 2 eps |x|, stay within _ON_LATTICE spacings."""
+        """Largest |coordinate| of a computed lattice point that is still taken for it.
+
+        The roundings that form a point or stencil node x, and divide it by
+        the spacing, add up to at most ``2 eps |x| / spacing``, which must stay
+        within ``_ON_LATTICE``.
+        """
         return _ON_LATTICE * self.spacing / (2.0 * math.ulp(1.0))
 
 
@@ -293,8 +298,8 @@ def make_mollifier(epsilon, quadrature_points_per_axis):
     return MollifierSpec(epsilon=eps, quadrature_points_per_axis=int(q), offsets=offsets, weights=weights)
 
 
-# side of a lattice's persistent sample canvas, centred on the lattice origin: every sample (u, v) that
-# classifying the catalog at the default radius reads lies in [-1060, 1060)^2 (rho_c reaches all four ends)
+# side of a lattice's persistent sample canvas, centred on the lattice origin: on the classifier's lattice every
+# sample (u, v) the catalog reads lies in [-530, 530)^2 at the default radius and in [-1050, 1050)^2 at radius 4
 _CANVAS = 2120
 # entries one LatticeMollification may hold: its canvas (2120^2 = 4,494,400 samples) and 305,600 values
 _HELD = 4_800_000
@@ -404,8 +409,8 @@ class LatticeMollification:
     the classifier's default steps (:func:`stencil_steps`) that leaves the
     levels 1, 2 and 4 unchanged and moves the sqrt(2) levels by at most 6%.
     The steps are not held below epsilon: the classifier's Delta^3 / Delta^4
-    stencils step by up to 0.035 * 4 = 0.14 = 2.8 epsilon on the radius-2
-    grid.
+    stencils step by up to 0.035 * 2 sqrt(2), snapped to 0.1 = 2 epsilon, on
+    the radius-2 grid.
     """
 
     def __init__(self, sigma, spec):
