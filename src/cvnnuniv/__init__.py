@@ -1,6 +1,6 @@
 """Universality classification and constructive approximation for complex-valued networks."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .activations import ActivationSpec, activation_catalog, activation_names, by_name
 from .grids import Grid, make_grid

@@ -13,13 +13,14 @@ real one-hidden-layer fit.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import inspect
 import math
 
 import numpy as np
 
-from . import __version__, targets
+from . import __version__, targets, workers
 from .classifier import YES, _is_exact_relu_composer, _verdict
 from .errors import NoActivePointError, SynthesisRefusedError
 from .grids import cut_distance, make_grid, points_of, random_points
@@ -198,9 +199,9 @@ def _extract_exactly(sigma, coeffs, search):
 def _lawson(weighted_fit, residual, n, passes):
     """Lawson's sup-oriented reweighting: the best of ``passes`` weighted least-squares fits.
 
-    The first pass weighs all ``n`` points equally; each later pass multiplies
-    the weights by the previous absolute residuals.  Returns the solution with
-    the smallest sup residual, and that residual.
+    The first pass weighs all ``n`` points equally; each later pass multiplies the weights by the previous absolute
+    residuals.  Returns the solution with the smallest sup residual, and that residual.  In :func:`_refit_design` a
+    pass is a Cholesky solve on the factors of a full-rank design; a rank-deficient design or rejected Gram takes lstsq.
     """
     w = np.ones(n)
     best, best_sup = None, np.inf
@@ -408,14 +409,43 @@ def _design(features):
 
 
 def _refit_design(design, fvals, lawson=0):
-    """Coefficients fitting ``fvals`` on the columns of ``design``; optional sup-oriented passes."""
+    """(coef, sup residual) of ``fvals`` fit on the columns of ``design``, with ``lawson`` sup-oriented passes.
+
+    A real design is fit in real arithmetic, to Re f and Im f.  With Lawson passes, a full-rank design (no singular
+    value within lstsq's cutoff eps * max(n, p) * s_max) is factored once, A = U S V^H by QR and an SVD of R, and each
+    pass solves (U^H W U) y = U^H W f by Cholesky; a rank-deficient design and a pass Cholesky rejects take lstsq.
+    """
+    rhs = np.stack([fvals.real, fvals.imag], axis=1) if np.isrealobj(design) else fvals
+    joined = (lambda x: x[:, 0] + 1j * x[:, 1]) if rhs.ndim == 2 else (lambda x: x)
+    u = None
+    if lawson:
+        _, s, vh = np.linalg.svd(np.linalg.qr(design, mode="r"), full_matrices=False)
+        if s[-1] > np.finfo(float).eps * max(design.shape) * s[0]:
+            u = design @ (to_coef := vh.conj().T / s)
 
     def weighted_fit(w):
+        if u is not None:
+            with contextlib.suppress(np.linalg.LinAlgError):
+                return to_coef @ _gram_solve(u, rhs, w)
         root = np.sqrt(w)
-        coef, *_ = np.linalg.lstsq(design * root[:, None], fvals * root, rcond=None)
+        coef, *_ = np.linalg.lstsq(design * root[:, None], (rhs.T * root).T, rcond=None)
         return coef
 
-    return _lawson(weighted_fit, lambda coef: np.abs(fvals - design @ coef), fvals.size, 1 + lawson)
+    coef, sup = _lawson(weighted_fit, lambda x: np.abs(fvals - joined(design @ x)), fvals.size, 1 + lawson)
+    return joined(coef), sup
+
+
+def _gram_solve(u, rhs, w):
+    """y solving (U^H W U) y = U^H W rhs by Cholesky, the Gram summed in order over row blocks of U's real view."""
+    step = max(workers.CHUNK_ENTRIES // u.shape[1], 2 * u.shape[1])  # no block shorter than the Gram is wide
+    blocks = (u.view(float)[i : i + step] * np.sqrt(w[i : i + step, None]) for i in range(0, w.size, step))
+    gram = sum(block.T @ block for block in blocks)
+    if np.iscomplexobj(u):
+        # u_j^H W u_k = (Re.Re + Im.Im) + i (Re.Im - Im.Re)
+        gram = gram[::2, ::2] + gram[1::2, 1::2] + 1j * (gram[::2, 1::2] - gram[1::2, ::2])
+    chol = np.linalg.cholesky(gram)
+    # U^H W rhs as conj(conj(W rhs)^T U), which reads U in place
+    return np.linalg.solve(chol.conj().T, np.linalg.solve(chol, ((w * rhs.T).conj() @ u).conj().T))
 
 
 def _ball(domain, d):

@@ -527,3 +527,130 @@ def test_lifted_net_is_ridges_of_the_psi_fit(monkeypatch):
     scale = eval_shallow(terms, lambda x: np.abs(RATIO(x)), zs).real
     gap = np.abs(eval_ridge(net, RATIO, zs) - eval_shallow(dense, RATIO, zs))
     assert np.all(gap <= 1e-12 * scale)
+
+
+def _lstsq_refit(design, fvals, lawson=0):
+    """The per-pass lstsq Lawson loop that every design took before the factored solve: (coef, sup, winning pass)."""
+    w = np.ones(fvals.size)
+    best = None
+    for k in range(1 + lawson):
+        root = np.sqrt(w)
+        coef, *_ = np.linalg.lstsq(design * root[:, None], fvals * root, rcond=None)
+        resid = np.abs(fvals - design @ coef)
+        if best is None or np.max(resid) < best[1]:
+            best = (coef, float(np.max(resid)), k)
+        w = w * (resid + 1e-12)
+        w = w / np.mean(w)
+    return best
+
+
+def _recorded_passes(monkeypatch):
+    """The sup residual of every Lawson pass that later refits make, in order."""
+    sups = []
+
+    def lawson(weighted_fit, residual, n, passes, fn=constructor._lawson):
+        def recorded(solution):
+            resid = residual(solution)
+            sups.append(float(np.max(resid)))
+            return resid
+
+        return fn(weighted_fit, recorded, n, passes)
+
+    monkeypatch.setattr(constructor, "_lawson", lawson)
+    return sups
+
+
+def _counted(monkeypatch, name):
+    """Count the calls of ``np.linalg.<name>``; the list grows by one per call."""
+    calls = []
+
+    def counted(*args, fn=getattr(np.linalg, name), **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def _graded_design(rng, n, p, dtype=complex):
+    # a full-rank design of condition number about 1e6, with a constant column first
+    cols = rng.standard_normal((n, p - 1)) * np.logspace(0, -6, p - 1)
+    if dtype is complex:
+        cols = cols + 1j * rng.standard_normal((n, p - 1)) * np.logspace(0, -6, p - 1)
+    return constructor._design(cols)
+
+
+def _kinked(rng, n):
+    # a target no column fits exactly, so that the Lawson passes trade the mean for the sup
+    return np.abs(rng.standard_normal(n)) + 1j * np.maximum(0.0, rng.standard_normal(n))
+
+
+def test_full_rank_refit_fits_as_the_lstsq_loop(monkeypatch):
+    rng = np.random.default_rng(3)
+    design, fvals = _graded_design(rng, 600, 40), _kinked(rng, 600)
+    sups = _recorded_passes(monkeypatch)
+    lstsq_calls = _counted(monkeypatch, "lstsq")
+    coef, sup = constructor._refit_design(design, fvals, lawson=4)
+    assert lstsq_calls == [] and len(sups) == 5
+    monkeypatch.undo()
+    want, want_sup, winner = _lstsq_refit(design, fvals, lawson=4)
+    fitted, want_fitted = design @ coef, design @ want
+    assert np.max(np.abs(fitted - want_fitted)) <= 1e-9 * np.max(np.abs(want_fitted))
+    assert abs(sup - want_sup) <= 1e-9 * want_sup
+    assert sups.index(min(sups)) == winner
+
+
+def test_rank_deficient_refit_is_the_lstsq_loop_bit_for_bit():
+    rng = np.random.default_rng(4)
+    design = _graded_design(rng, 600, 40)
+    design = np.concatenate([design, design[:, 5:10] + design[:, 10:15]], axis=1)
+    fvals = _kinked(rng, 600)
+    coef, sup = constructor._refit_design(design, fvals, lawson=4)
+    want, want_sup, _ = _lstsq_refit(design, fvals, lawson=4)
+    assert np.array_equal(coef, want) and sup == want_sup
+
+
+def test_real_design_fits_re_and_im_in_real_arithmetic():
+    rng = np.random.default_rng(5)
+    design, fvals = _graded_design(rng, 600, 40, dtype=float), _kinked(rng, 600)
+    coef, sup = constructor._refit_design(design, fvals)
+    want, want_sup, _ = _lstsq_refit(design.astype(complex), fvals)
+    assert coef.dtype == complex and coef.shape == want.shape
+    assert np.max(np.abs(coef - want)) <= 1e-12 * np.max(np.abs(want))
+    assert abs(sup - want_sup) <= 1e-12 * want_sup
+    # with Lawson passes a real full-rank design takes the factored solve, still in real arithmetic
+    coef, sup = constructor._refit_design(design, fvals, lawson=3)
+    want, want_sup, _ = _lstsq_refit(design.astype(complex), fvals, lawson=3)
+    assert coef.dtype == complex
+    assert np.max(np.abs(design @ coef - design @ want)) <= 1e-9 * np.max(np.abs(design @ want))
+
+
+@pytest.mark.parametrize("rejected", [{1}, {0, 1, 2, 3, 4}])
+def test_a_gram_that_cholesky_rejects_falls_back_to_lstsq(monkeypatch, rejected):
+    rng = np.random.default_rng(6)
+    design, fvals = _graded_design(rng, 600, 40), _kinked(rng, 600)
+    lstsq_calls = _counted(monkeypatch, "lstsq")
+    cholesky, passes = np.linalg.cholesky, []
+
+    def rejecting(gram):
+        passes.append(gram)
+        if len(passes) - 1 in rejected:
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return cholesky(gram)
+
+    monkeypatch.setattr(np.linalg, "cholesky", rejecting)
+    coef, sup = constructor._refit_design(design, fvals, lawson=4)
+    assert len(passes) == 5 and len(lstsq_calls) == len(rejected)
+    monkeypatch.undo()
+    want, want_sup, _ = _lstsq_refit(design, fvals, lawson=4)
+    if len(rejected) == 5:
+        # every pass rejected: the lstsq loop itself
+        assert np.array_equal(coef, want) and sup == want_sup
+    assert np.max(np.abs(design @ coef - design @ want)) <= 1e-9 * np.max(np.abs(design @ want))
+
+
+def test_deep_synthesis_solves_one_lstsq(monkeypatch):
+    # the ReLU stage-1 fit; the five Lawson passes of the full-rank refit share one factorization
+    calls = _counted(monkeypatch, "lstsq")
+    synthesize_deep(RATIO, cone, 1, 2, (0.0, 1.0), CFG, target_name="cone", gate=False)
+    assert len(calls) == 1

@@ -1,4 +1,4 @@
-"""Golden reports: the sha256 of three reports at seed 0, pinned per library version.
+"""Golden reports: the sha256 of four reports at seed 0, pinned per library version.
 
 A report's ``version`` pins the numerical policy, so an output digit that
 moves without a version bump fails here; a change that moves one bumps
@@ -23,9 +23,22 @@ REPORTS = {
     "classify-ratio": ["classify", "--activation", "ratio"],
     "approximate-shallow-ratio-cone": ["approximate", "--activation", "ratio", "--target", "cone", "--degree", "6"],
     "invariants-sin-dbar-L3": ["invariants", "--activation", "sin", "--kind", "dbar", "--layers", "3"],
+    # the one golden whose refit takes the factored (full-rank) Lawson solve
+    "approximate-deep-ratio-cone": ["approximate", "--activation", "ratio", "--target", "cone", "--deep", "--layers", "2"],
 }
 
 GOLDEN = {
+    "0.3.0": {
+        "numpy": "2.4.6",
+        "blas_threads": 1,
+        "sha256": {
+            "classify-ratio": "36a551af85a61c413c8f02cac341701d2cea124e1a8de6b2652c8249ba583863",
+            "approximate-shallow-ratio-cone": "eaff23c8e708c64593a28526623fee72ffe1c6205240d40f065f70ed0a0dc415",
+            "invariants-sin-dbar-L3": "35efbc3d767d7e31ba3eda40861530a513139041f3dfa680d25a64f266495e64",
+            "approximate-deep-ratio-cone": "391c4a076dbd1dfdf5e971230b428beae522447422cca972b5c9d9502c9c31a1",
+        },
+    },
+    # pinned before the deep golden existed
     "0.2.0": {
         "numpy": "2.4.6",
         "blas_threads": 1,

@@ -72,10 +72,11 @@ def test_a_shallow_cone_certificate_that_exits_0_meets_its_budget(tmp_path, acti
     assert code != 0 or cert["sup_error"] <= BUDGET
 
 
-@wrong_answer("_ridge_stage never fits the cone's apex and exits 0 at 0.119 (ROADMAP items 4(a), 6)")
-def test_a_lifted_cone_certificate_that_exits_0_meets_its_budget(tmp_path):
-    # seeds 2 and 7 miss the budget too (0.109, 0.125), but one lifted run takes about 5 s
-    code, cert = _certificate(tmp_path, ["--activation", "ratio", "--dims", "2", "--seed", "4"])
+@wrong_answer("_ridge_stage never fits the cone's apex and exits 0 at 0.12-0.13 (ROADMAP items 4(a), 6)")
+@pytest.mark.parametrize("seed", [4, 7])
+def test_a_lifted_cone_certificate_that_exits_0_meets_its_budget(tmp_path, seed):
+    # seed 2 misses the budget too (0.109); each lifted run takes about 2.5 s, so two of them keep the file under 10 s
+    code, cert = _certificate(tmp_path, ["--activation", "ratio", "--dims", "2", "--seed", str(seed)])
     assert code != 0 or cert["sup_error"] <= BUDGET
 
 
