@@ -2,9 +2,9 @@
 
 Every activation is vectorized over complex ndarrays.  The metadata drives the
 rest of the library: grids avoid ``discontinuity_set``, the classifier
-mollifies whenever ``nonsmooth_set`` is declared and the constructor keeps its
-stencils clear of that set, and ``singular_points`` marks arguments where
-evaluation is an error (poles).
+mollifies every activation that is not ``smooth`` and the constructor keeps its
+stencils clear of the non-smooth set, and ``singular_points`` marks arguments
+where evaluation is an error (poles).
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ class ActivationSpec:
     ``nonsmooth_set``     -- where derivatives of any order may fail to exist;
                              expansion points for divided differences keep a
                              margin from this set.  A non-smooth activation
-                             declares it, and ``smooth`` follows from it.
+                             declares it, and ``smooth`` follows from it and
+                             from the rays and lines of ``discontinuity_set``.
     """
 
     name: str
@@ -45,8 +46,12 @@ class ActivationSpec:
 
     @property
     def smooth(self):
-        """C-infinity away from the declared singular points; the classifier mollifies non-smooth ones."""
-        return not self.nonsmooth_set
+        """C-infinity away from isolated points: no ``nonsmooth_set`` and no ray or line of discontinuity.
+
+        A jump along a curve is not smooth even when only ``discontinuity_set``
+        declares it; the classifier mollifies every non-smooth activation.
+        """
+        return not self.nonsmooth_set and all(c.kind == "points" for c in self.discontinuity_set)
 
     def raw(self, z):
         """Evaluate without singularity checks; may return non-finite values."""

@@ -7,10 +7,11 @@ neither a polynomial in z and zbar, nor holomorphic, nor antiholomorphic, all
 in the almost-everywhere sense.  Both criteria are decided here on grids with
 declared tolerances.
 
-Non-smooth activations are mollified first: an almost-everywhere property of
-the raw function becomes an exact property of its mollification, and the
-evidence against it concentrates near the non-smooth set, so those grids
-include points close to (and on) the declared cuts.
+Every activation takes one path, and only the function it reads differs:
+sigma itself when smooth, else its mollification.  Mollifying turns an
+almost-everywhere property of the raw function into an exact property of the
+mollification, and the evidence against it concentrates near the non-smooth
+set, so the points include those close to (and on) the declared cuts.
 """
 
 from __future__ import annotations
@@ -37,9 +38,7 @@ MOLLIFIER_QUADRATURE = 20
 MAX_ORDER = 4
 MAX_DEGREE = 4
 POINT_SINGULARITY_GUARD = 0.5
-DERIVATIVE_PROBES = 120
-NEAR_CUT_PROBES = 48
-HOLOMORPHY_PROBES = 200
+PROBES = 120
 _MOLLIFIER = make_mollifier(MOLLIFIER_EPSILON, MOLLIFIER_QUADRATURE)
 
 
@@ -115,10 +114,8 @@ def _points_for(f, grid):
     return _on_lattice(grid, f.spacing) if isinstance(f, LatticeMollification) else points_of(grid)
 
 
-def _polyharmonic_groups(sigma, max_order):
-    """(orders, step scale) of each stencil sampling of the polyharmonic search; None is the per-order default step."""
-    if sigma.smooth:
-        return [([m], None) for m in range(1, max_order + 1)]
+def _polyharmonic_groups(max_order):
+    """(orders, step scale) of each stencil sampling of the polyharmonic search."""
     return [(range(1, min(2, max_order) + 1), 0.01), (range(3, max_order + 1), 0.035)]
 
 
@@ -157,16 +154,17 @@ def detect_polyharmonic(sigma, max_order, grid, tol, mollifier=None):
     """Least m <= max_order with Delta^m sigma ~ 0 on the grid, if any.
 
     Returns (found, order_or_None, residuals).  Residual r_m is the grid
-    maximum of |Delta^m| relative to max(1, sup|sigma|); non-smooth
+    maximum of |Delta^m| relative to max(1, sup|sigma|); orders 1-2 share
+    one stencil at step scale 0.01, orders 3-4 one at 0.035.  Non-smooth
     activations are tested through ``mollifier``, by default their
     :class:`LatticeMollification`.  A lattice mollification (the default or
     a caller's) is tested on the grid and steps rounded to its own spacing;
-    any other callable gets the grid as given and the default steps.
+    any other callable gets the grid as given.
     """
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
     f = _tested(sigma, mollifier)
-    return _polyharmonic_search(f, _points_for(f, grid), _polyharmonic_groups(sigma, max_order), tol)
+    return _polyharmonic_search(f, _points_for(f, grid), _polyharmonic_groups(max_order), tol)
 
 
 def _directional_residuals(f, pts):
@@ -247,15 +245,17 @@ def detect_polynomial(sigma, max_degree, grid, tol, mollifier=None, deriv_points
     in the monomials z^m zbar^l (m + l <= g) has relative sup residual below
     ``tol``, and the pure derivatives of order g + 1 vanish.  Returns
     (found, degree_or_None, fit_residuals, deriv_residuals), with one fit
-    and one derivative residual per degree 0..max_degree.  The grid and
-    ``deriv_points`` are rounded as in :func:`detect_polyharmonic`.
+    and one derivative residual per degree 0..max_degree.  The derivatives
+    are taken at ``deriv_points``, by default ``PROBES // 2`` of the grid's
+    points; the grid and ``deriv_points`` are rounded as in
+    :func:`detect_polyharmonic`.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be at least 0")
     f = _tested(sigma, mollifier)
     pts = _points_for(f, grid)
     fit_residuals, scale = _fit_residuals(f, pts, max_degree)
-    dpts = subsample(pts, 60) if deriv_points is None else _points_for(f, deriv_points)
+    dpts = subsample(pts, PROBES // 2) if deriv_points is None else _points_for(f, deriv_points)
     deriv_residuals = _derivative_residuals(f, dpts, max_degree, scale)
     degree = _least_degree(fit_residuals, deriv_residuals, tol)
     return degree is not None, degree, fit_residuals, deriv_residuals
@@ -272,32 +272,6 @@ def _is_exact_relu_composer(sigma):
     return bool(np.max(np.abs(vals - np.maximum(0.0, pts.real))) < 1e-14)
 
 
-def _classification_points(sigma, config):
-    """Raw-path points, mollified-path points, and near-cut probes, all on the mollifier's lattice.
-
-    Off the lattice some quadrature arguments fall on a cut; on the grids of
-    radius 2, 4 and 8 the rounding moves no point.
-    """
-    pts = _on_lattice(make_grid(0.0, config.grid_radius, GRID_POINTS_PER_AXIS), _MOLLIFIER.spacing)
-    point_cuts = tuple(c for c in avoid_set(sigma) if c.kind == "points")
-    curve_cuts = tuple(c for c in avoid_set(sigma) if c.kind != "points")
-    mask = np.ones(pts.size, dtype=bool)
-    if point_cuts:
-        mask &= cut_distance(pts, point_cuts) >= POINT_SINGULARITY_GUARD
-    moll_pts = pts[mask]
-    raw_mask = mask.copy()
-    if curve_cuts:
-        guard = config.grid_radius / (10.0 * GRID_POINTS_PER_AXIS)
-        raw_mask &= cut_distance(pts, curve_cuts) >= guard
-    raw_pts = pts[raw_mask]
-    cuts = tuple(sigma.nonsmooth_set) + tuple(sigma.discontinuity_set)
-    near = np.empty(0, dtype=complex)
-    if cuts:
-        dist = cut_distance(moll_pts, cuts)
-        near = moll_pts[dist <= 1.5 * MOLLIFIER_EPSILON]
-    return raw_pts, moll_pts, near
-
-
 def largest_radius(sigma):
     """Largest ``grid_radius`` whose points and stencil nodes all lie within the mollifier's reach; inf when smooth.
 
@@ -308,25 +282,29 @@ def largest_radius(sigma):
     """
     if sigma.smooth:
         return math.inf
-    grow = max(stencil_halfwidth(2 * max(orders)) * s for orders, s in _polyharmonic_groups(sigma, MAX_ORDER)) * 2**0.25
+    grow = max(stencil_halfwidth(2 * max(orders)) * s for orders, s in _polyharmonic_groups(MAX_ORDER)) * 2**0.25
     return (_MOLLIFIER.reach - grow) / (1.0 + grow) - stencil_halfwidth(2 * MAX_ORDER) * _MOLLIFIER.spacing
 
 
 def _prepared_points(sigma, config):
-    """Shared preparation of both stages: (probe, holomorphy points, fit points, mollification).
+    """Shared preparation of both stages: (probes, fit points, mollification).
 
-    The mollification is ``None`` for a smooth activation, which both stages
-    then read raw.
+    The points are the grid's, rounded to the mollifier's lattice (off it
+    some quadrature arguments fall on a cut; on the grids of radius 2, 4 and
+    8 the rounding moves no point) and clear of isolated singular points,
+    plus once more those within 1.5 epsilon of a cut.  The fit reads every
+    point; the probes are ``PROBES`` of the points and at most ``PROBES`` of
+    the near-cut ones.  The mollification is ``None`` for a smooth
+    activation, which both stages then read raw.
     """
-    raw_pts, moll_pts, near = _classification_points(sigma, config)
-    if sigma.smooth:
-        return subsample(raw_pts, DERIVATIVE_PROBES), subsample(raw_pts, HOLOMORPHY_PROBES), raw_pts, None
-    probe = subsample(moll_pts, DERIVATIVE_PROBES)
-    fit_pts = subsample(moll_pts, 800)
-    if near.size:
-        probe = np.concatenate([probe, subsample(near, NEAR_CUT_PROBES)])
-        fit_pts = np.concatenate([fit_pts, near])
-    return probe, probe, fit_pts, _smoothed(sigma)
+    pts = _on_lattice(make_grid(0.0, config.grid_radius, GRID_POINTS_PER_AXIS), _MOLLIFIER.spacing)
+    point_cuts = tuple(c for c in avoid_set(sigma) if c.kind == "points")
+    if point_cuts:
+        pts = pts[cut_distance(pts, point_cuts) >= POINT_SINGULARITY_GUARD]
+    cuts = tuple(sigma.nonsmooth_set) + tuple(sigma.discontinuity_set)
+    near = pts[cut_distance(pts, cuts) <= 1.5 * MOLLIFIER_EPSILON]
+    probe = np.concatenate([subsample(pts, PROBES), subsample(near, PROBES)])
+    return probe, np.concatenate([pts, near]), None if sigma.smooth else _smoothed(sigma)
 
 
 def _shallow_stage(sigma, prepared, tol):
@@ -334,7 +312,7 @@ def _shallow_stage(sigma, prepared, tol):
 
     Returns (report fields, evidence).
     """
-    probe, _, _, mollifier = prepared
+    probe, _, mollifier = prepared
     found, order, residuals = detect_polyharmonic(sigma, MAX_ORDER, probe, tol, mollifier=mollifier)
     fields = {"polyharmonic_order": order, "shallow_universal": NO if found else YES}
     return fields, {"polyharmonic_residuals": [float(r) for r in residuals]}
@@ -360,11 +338,11 @@ def _deep_stage(sigma, prepared, tol):
     is deep universal -- and indeterminate otherwise.  Returns (report
     fields, evidence).
     """
-    probe, holo_pts, fit_pts, mollifier = prepared
-    d_res, dbar_res = _directional_residuals(_tested(sigma, mollifier), holo_pts)
+    probe, fit_pts, mollifier = prepared
+    d_res, dbar_res = _directional_residuals(_tested(sigma, mollifier), probe)
     holomorphic, antiholomorphic = _holomorphy_flags(d_res, dbar_res, tol)
     poly_found, poly_degree, fit_res, deriv_res = detect_polynomial(
-        sigma, MAX_DEGREE, fit_pts, tol, mollifier=mollifier, deriv_points=subsample(probe, 60)
+        sigma, MAX_DEGREE, fit_pts, tol, mollifier=mollifier, deriv_points=subsample(probe, PROBES // 2)
     )
     deep, ae_flag = _deep_verdict(sigma, poly_found or holomorphic or antiholomorphic)
     fields = {
@@ -385,8 +363,8 @@ def _deep_stage(sigma, prepared, tol):
 
 def _shallow_gate(sigma, prepared, tol):
     """:func:`_shallow_stage`'s verdict alone; a mollified sigma's stencil groups are screened at the first probe."""
-    probe, _, _, mollifier = prepared
-    groups = _polyharmonic_groups(sigma, MAX_ORDER)
+    probe, _, mollifier = prepared
+    groups = _polyharmonic_groups(MAX_ORDER)
     found, _, _ = _polyharmonic_search(_tested(sigma, mollifier), probe, groups, tol, screen=mollifier is not None)
     return NO if found else YES
 
@@ -394,18 +372,18 @@ def _shallow_gate(sigma, prepared, tol):
 def _deep_gate(sigma, prepared, tol):
     """:func:`_deep_stage`'s verdict alone, from the least evidence that decides whether sigma is forbidden.
 
-    The holomorphy flags compare against the maximum over every point, so
+    The holomorphy flags compare against the maximum over every probe, so
     they are computed in full, and a set flag decides.  Otherwise a degree
     needs a fit residual below tol, so the derivative jets run only when
     some fit residual is.
     """
-    probe, holo_pts, fit_pts, mollifier = prepared
+    probe, fit_pts, mollifier = prepared
     f = _tested(sigma, mollifier)
-    forbidden = any(_holomorphy_flags(*_directional_residuals(f, holo_pts), tol))
+    forbidden = any(_holomorphy_flags(*_directional_residuals(f, probe), tol))
     if not forbidden:
         fit_res, scale = _fit_residuals(f, fit_pts, MAX_DEGREE)
         if any(r < tol for r in fit_res):
-            deriv_res = _derivative_residuals(f, subsample(probe, 60), MAX_DEGREE, scale)
+            deriv_res = _derivative_residuals(f, subsample(probe, PROBES // 2), MAX_DEGREE, scale)
             forbidden = _least_degree(fit_res, deriv_res, tol) is not None
     return _deep_verdict(sigma, forbidden)[0]
 

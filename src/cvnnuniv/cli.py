@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -101,7 +102,7 @@ def _check_writable(path):
 
 
 def _check_ranges(args):
-    """Raise ``UsageError`` for a flag value outside its range; runs before any work."""
+    """Raise ``UsageError`` for a flag value out of range or one file named by both outputs; runs before any work."""
     # a deep network has at least two hidden layers, a random invariant network at least one
     lowest = {"degree": 0, "dims": 1, "trials": 1, "layers": 2 if args.command == "approximate" else 1}
     for flag, low in lowest.items():
@@ -112,8 +113,11 @@ def _check_ranges(args):
         raise UsageError(f"--degree must be at most {JET_LIMIT}, the highest order monomial extraction reaches")
     for flag in ("radius", "tol"):
         value = getattr(args, flag, None)
-        if value is not None and not value > 0:
-            raise UsageError(f"--{flag} must be positive, got {value}")
+        if value is not None and not (value > 0 and math.isfinite(value)):
+            raise UsageError(f"--{flag} must be positive and finite, got {value}")
+    network_out = getattr(args, "network_out", None)
+    if args.out and network_out and os.path.realpath(args.out) == os.path.realpath(network_out):
+        raise UsageError(f"--out and --network-out name the same file {args.out!r}")
     if args.command == "classify" and args.radius is not None:
         limit = largest_radius(by_name(args.activation))
         if args.radius > limit:

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from cvnnuniv.activations import activation_catalog, activation_names, by_name
+from cvnnuniv.activations import ActivationSpec, activation_catalog, activation_names, by_name
 from cvnnuniv.errors import ActivationSingularityError
-from cvnnuniv.grids import cut_distance, random_points
+from cvnnuniv.grids import cut_distance, line_cut, points_cut, random_points, ray_cut
 
 
 def test_catalog_covers_required_names():
@@ -110,6 +110,10 @@ def test_smooth_follows_from_the_nonsmooth_set():
     assert {spec.name: spec.smooth for spec in activation_catalog()} == {
         name: name not in nonsmooth for name in activation_names()
     }
+    # a jump along a ray or a line is not smooth even when only the discontinuity set declares it; a pole is
+    assert not ActivationSpec(name="jump", fn=np.sign, discontinuity_set=(ray_cut(0.0, -1.0),)).smooth
+    assert not ActivationSpec(name="step", fn=np.sign, discontinuity_set=(line_cut(0.0, 1j),)).smooth
+    assert ActivationSpec(name="pole", fn=np.tan, discontinuity_set=(points_cut(math.pi / 2),)).smooth
 
 
 def test_unknown_name():

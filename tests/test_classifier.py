@@ -286,19 +286,29 @@ def test_example_4_8_at_an_off_lattice_radius():
     assert rep.ae_equal_but_discontinuous
 
 
-MOLLIFIED = ("ratio", "zlog", "rho_c", "example_4_8", "arcsin_principal")
-
-
 @pytest.mark.parametrize("radius", [0.5, 1.0, 1.5, 2.0, 3.0, 4.0])
 def test_mollified_catalog_verdicts_hold_at_every_radius(radius):
-    # the verdicts decided through the mollifier's quadrature, on grids inside and outside its sample canvas;
+    # every catalog activation takes one path: the mollified ones through the mollifier's quadrature, on grids
+    # inside and outside its sample canvas, the smooth ones raw on the same points and stencils;
     # the radius-0.5 grid misses arcsin_principal's cuts, a known wrong answer (tests/test_known_defects.py)
-    for name in MOLLIFIED:
+    for name in EXPECTED:
         if name == "arcsin_principal" and radius == 0.5:
             continue
         rep = classify(by_name(name), ClassifierConfig(grid_radius=radius))
         assert (rep.shallow_universal, rep.deep_universal) == EXPECTED[name], name
         assert rep.ae_equal_but_discontinuous == (name == "example_4_8"), name
+
+
+@pytest.mark.parametrize("name", ["zlog", "arcsin_principal", "example_4_8"])
+def test_a_cut_declared_only_as_a_discontinuity_is_mollified(name, catalog_reports):
+    # a jump along a ray or a line is not smooth, so sigma is mollified even without a nonsmooth_set;
+    # read raw, zlog's jump on its cut hid the theorem's yes/yes
+    sigma = by_name(name)
+    rebuilt = _copy(sigma, name=f"{name}_jump", nonsmooth_set=())
+    assert not rebuilt.smooth
+    rep, was = classify(rebuilt), catalog_reports[name]
+    assert (rep.shallow_universal, rep.deep_universal) == EXPECTED[name]
+    assert rep.ae_equal_but_discontinuous == was.ae_equal_but_discontinuous
 
 
 @pytest.mark.parametrize("phi", [0.3, 0.7, 1.2, 2.0, 2.9])

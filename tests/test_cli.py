@@ -128,6 +128,9 @@ def test_format_csv_only_on_floor_exits_2_before_work(tmp_path, monkeypatch):
         ["approximate", "--activation", "ratio", "--target", "cone", "--radius", "-1"],
         ["approximate", "--activation", "ratio", "--target", "cone", "--dims", "0"],
         ["classify", "--activation", "ratio", "--tol", "-1"],
+        ["classify", "--activation", "ratio", "--tol", "inf"],
+        ["classify", "--activation", "sin", "--radius", "inf"],
+        ["approximate", "--activation", "ratio", "--target", "cone", "--radius", "inf"],
         ["invariants", "--activation", "sin", "--layers", "0"],
         ["invariants", "--activation", "sin", "--trials", "0"],
         ["floor", "--activation", "ratio", "--target", "cone", "--widths", "0"],
@@ -340,6 +343,17 @@ def test_unwritable_output_exits_2(tmp_path, capsys, monkeypatch):
     assert run_cli(approx + ["--out", str(missing), "--network-out", str(tmp_path / "net.json")]) == 2
     assert not (tmp_path / "cert.json").exists()
     assert not (tmp_path / "net.json").exists()
+
+
+def test_same_out_and_network_out_exits_2(tmp_path, capsys, monkeypatch):
+    # the network document would overwrite the certificate: refused before any work, also through another spelling
+    _no_work(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    approx = ["approximate", "--activation", "ratio", "--target", "cone"]
+    for out, net in (("same.json", "same.json"), ("same.json", str(tmp_path / "." / "same.json"))):
+        assert run_cli(approx + ["--out", out, "--network-out", net]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not list(tmp_path.iterdir())
 
 
 def test_eps_outside_deep_relu_c_exits_2(tmp_path, capsys):
